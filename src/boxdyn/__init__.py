@@ -17,7 +17,7 @@ from .errors import (BoxdynError, CarrierNotAcyclic, ConfigError,
                      RegionStraddlesTiles)
 from .graph_dynamics import (Condensation, IndexPairC, MorseGraph,
                              condensation, downset, index_pair, morse_graph,
-                             morse_graph_from_jsonable, tarjan_scc,
+                             morse_graph_from_jsonable,
                              verify_attracting_block)
 from .grid import (CubicalGrid, PhaseSpace, Rect, box_containing,
                    boxes_intersecting, grid_diameter)
@@ -27,8 +27,24 @@ from .homology import (ChainMapData, HomologyBasis, PairComplex,
                        solve_mod_p)
 from .oracles import (CallableOracle, LeslieOracle, LipschitzDataOracle,
                       MapOracle, MlpOracle, PiecewiseExample1D)
-from .outer_approx import BoxMap, build_boxmap, encloses, restrict_to
+from .outer_approx import BoxMap, build_boxmap, encloses
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoxMap", "BoxdynError", "CallableOracle", "CarrierNotAcyclic",
+    "ChainMapData", "Condensation", "ConfigError", "ConleyIndex",
+    "CubicalGrid", "DimensionMismatch", "EmptyDataset", "GridMismatch",
+    "HomologyBasis", "IndexPairC", "LeslieOracle", "LipschitzDataOracle",
+    "MapOracle", "MlpOracle", "MorseGraph", "NodeNotRecurrent", "NuMap",
+    "PairComplex", "ParseError", "PhaseSpace", "PiecewiseExample1D",
+    "PointOutsideDomain", "Rect", "RegionStraddlesTiles",
+    "box_containing", "boxes_intersecting", "build_boxmap",
+    "build_pair_complex", "carrier", "chain_map", "charpoly_mod_p",
+    "check_epimorphism", "condensation", "conley_index", "downset",
+    "encloses", "format_poly", "grid_diameter", "index_pair",
+    "induced_homology_map", "invariant_factors_mod_p", "morse_graph",
+    "morse_graph_from_jsonable", "morse_tiles", "nontriviality", "project",
+    "rank_mod_p", "relative_homology", "shift_class",
+    "shift_invariant_factors", "solve_mod_p", "verify_attracting_block",
+]

@@ -77,10 +77,16 @@ class AnalysisConfig:
         }
 
     def cache_key(self) -> str:
+        """Hash of everything the box map depends on: the configuration
+        without its output directory, plus the bytes of the oracle's
+        weights or samples file, so that editing the file misses the cache."""
         doc = self.to_jsonable()
         doc.pop("out")
-        blob = json.dumps(doc, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+        for key in ("weights", "samples"):
+            if key in self.oracle:
+                h.update(Path(self.oracle[key]).read_bytes())
+        return h.hexdigest()[:16]
 
 
 def load_config(path) -> AnalysisConfig:
@@ -219,7 +225,7 @@ def _cached_boxmap(cfg: AnalysisConfig, grid: CubicalGrid, oracle) -> BoxMap:
             return BoxMap(grid, cfg.rho, jmin=z["jmin"], jmax=z["jmax"],
                           exterior=z["exterior"])
     bm = build_boxmap(grid, oracle, cfg.rho)
-    if cfg.cache and bm.is_rect_form:
+    if cfg.cache:
         out.mkdir(parents=True, exist_ok=True)
         np.savez_compressed(cache, jmin=bm.jmin, jmax=bm.jmax,
                             exterior=bm.exterior)

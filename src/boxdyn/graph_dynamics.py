@@ -2,11 +2,10 @@
 
 The condensation collapses strongly connected components; components
 containing at least one edge are recurrent, and the Morse graph is the
-poset of recurrent components under reachability.  For rectangle-form box
-maps everything is computed with whole-grid bitmap passes (prefix sums
-and difference arrays), so no explicit edge list is ever materialized;
-only the maximal invariant part, which contains every cycle, gets an
-explicit subgraph for the SCC run.
+poset of recurrent components under reachability.  Every algorithm here
+reads the box map's CSR adjacency: scipy's strongly connected
+components give the condensation, and a breadth-first search from a
+recurrent component gives its downset and, with it, the Morse order.
 """
 
 from __future__ import annotations
@@ -14,242 +13,24 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import NodeNotRecurrent
+from .errors import BoxdynError, NodeNotRecurrent
 from .grid import CubicalGrid, PhaseSpace
 from .outer_approx import BoxMap
-
-# explicit adjacency is materialized below this many edges
-_EDGE_LIMIT = 5_000_000
-
-
-def tarjan_scc(adjacency):
-    """Strongly connected components of an explicit digraph.
-
-    adjacency: sequence of int sequences over nodes 0..m-1.  Returns
-    (comp_of, components) where components are in reverse topological
-    order (sinks first).  Iterative single-pass lowlink with an explicit
-    stack; safe for graphs far beyond the recursion limit.
-    """
-    m = len(adjacency)
-    UNVISITED = -1
-    index = np.full(m, UNVISITED, dtype=np.int64)
-    low = np.zeros(m, dtype=np.int64)
-    on_stack = np.zeros(m, dtype=bool)
-    comp_of = np.full(m, -1, dtype=np.int64)
-    stack = []
-    components = []
-    counter = 0
-
-    for root in range(m):
-        if index[root] != UNVISITED:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            adj = adjacency[v]
-            while pi < len(adj):
-                w = int(adj[pi])
-                pi += 1
-                if index[w] == UNVISITED:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp_of, components
-
-
-def _rect_counts(boxmap: BoxMap, mask: np.ndarray) -> np.ndarray:
-    """For every box, how many True cells of mask its target range covers."""
-    shape = boxmap.grid.shape
-    d = len(shape)
-    prefix = mask.reshape(shape).astype(np.int64)
-    for ax in range(d):
-        prefix = prefix.cumsum(axis=ax)
-    prefix = np.pad(prefix, [(1, 0)] * d)
-    counts = np.zeros(boxmap.n_boxes, dtype=np.int64)
-    for pattern in range(1 << d):
-        idx = []
-        sign = 1
-        for i in range(d):
-            if (pattern >> i) & 1:
-                idx.append(boxmap.jmax[:, i].astype(np.int64) + 1)
-            else:
-                idx.append(boxmap.jmin[:, i].astype(np.int64))
-                sign = -sign
-        counts += sign * prefix[tuple(idx)]
-    counts[boxmap.exterior] = 0
-    return counts
-
-
-def _targets_cover(boxmap: BoxMap, srcs: np.ndarray) -> np.ndarray:
-    """Boolean flat mask of boxes hit by the target range of any source."""
-    shape = boxmap.grid.shape
-    d = len(shape)
-    srcs = srcs[~boxmap.exterior[srcs]]
-    diff = np.zeros(tuple(s + 1 for s in shape), dtype=np.int64)
-    if srcs.size:
-        lo = boxmap.jmin[srcs].astype(np.int64)
-        hi = boxmap.jmax[srcs].astype(np.int64)
-        for pattern in range(1 << d):
-            idx = []
-            sign = 1
-            for i in range(d):
-                if (pattern >> i) & 1:
-                    idx.append(hi[:, i] + 1)
-                    sign = -sign
-                else:
-                    idx.append(lo[:, i])
-            np.add.at(diff, tuple(idx), sign)
-    for ax in range(d):
-        diff = diff.cumsum(axis=ax)
-    core = diff[tuple(slice(0, s) for s in shape)]
-    return (core > 0).reshape(-1)
-
-
-def _forward_reachable(boxmap: BoxMap, seeds: np.ndarray) -> np.ndarray:
-    """Flat boolean mask of boxes reachable from the seed set (incl. seeds)."""
-    visited = np.zeros(boxmap.n_boxes, dtype=bool)
-    visited[seeds] = True
-    frontier = np.asarray(seeds, dtype=np.int64)
-    while frontier.size:
-        if boxmap.is_rect_form:
-            cover = _targets_cover(boxmap, frontier)
-            new = cover & ~visited
-            visited |= cover
-            frontier = np.flatnonzero(new)
-        else:
-            hit = [boxmap.targets(int(b)) for b in frontier]
-            hit = np.unique(np.concatenate(hit)) if hit else np.empty(0, np.int64)
-            new = hit[~visited[hit]]
-            visited[new] = True
-            frontier = new
-    return visited
-
-
-def _trim_invariant(boxmap: BoxMap, mask: np.ndarray) -> np.ndarray:
-    """Maximal subset of mask whose boxes all have a successor and a
-    predecessor inside it; every cycle inside mask survives trimming."""
-    mask = mask & ~boxmap.exterior
-    while mask.any():
-        has_succ = _rect_counts(boxmap, mask) > 0
-        has_pred = _targets_cover(boxmap, np.flatnonzero(mask))
-        new = mask & has_succ & has_pred
-        if new.sum() == mask.sum():
-            break
-        mask = new
-    return mask
-
-
-def _invariant_part(boxmap: BoxMap) -> np.ndarray:
-    """Flat mask of the maximal set whose boxes all have a successor and a
-    predecessor inside the set; it contains every cycle of the map."""
-    return _trim_invariant(boxmap, ~boxmap.exterior)
-
-
-def _forward_reachable_within(boxmap: BoxMap, seeds: np.ndarray,
-                              allowed: np.ndarray) -> np.ndarray:
-    """Seeds plus everything reachable from them inside the allowed mask."""
-    visited = np.zeros(boxmap.n_boxes, dtype=bool)
-    visited[seeds] = True
-    frontier = np.asarray(seeds, dtype=np.int64)
-    while frontier.size:
-        cover = _targets_cover(boxmap, frontier) & allowed
-        new = cover & ~visited
-        visited |= new
-        frontier = np.flatnonzero(new)
-    return visited
-
-
-def _backward_reachable_within(boxmap: BoxMap, seeds: np.ndarray,
-                               allowed: np.ndarray) -> np.ndarray:
-    """Seeds plus everything that reaches them inside the allowed mask."""
-    visited = np.zeros(boxmap.n_boxes, dtype=bool)
-    visited[seeds] = True
-    while True:
-        preds = (_rect_counts(boxmap, visited) > 0) & allowed & ~visited
-        if not preds.any():
-            return visited
-        visited |= preds
-
-
-def _has_self_loop(boxmap: BoxMap, box: int) -> bool:
-    if boxmap.exterior[box]:
-        return False
-    idx = np.asarray(boxmap.grid.multi_index(int(box)))
-    return bool(
-        np.all(boxmap.jmin[box] <= idx) and np.all(idx <= boxmap.jmax[box])
-    )
-
-
-def _fwbw_components(boxmap: BoxMap, mask: np.ndarray):
-    """Strongly connected components inside mask, without materializing
-    edges: forward-backward pivot splits with invariance trimming.
-
-    Any SCC lies entirely inside one split part, and trimmed boxes are
-    singleton components (they cannot lie on a cycle within their part).
-    Returns (nontrivial_components, recurrent_singletons) where the
-    first maps smallest-member ids to sorted member arrays.
-    """
-    nontrivial = {}
-    recurrent_singletons = []
-    stack = [mask]
-    while stack:
-        s = _trim_invariant(boxmap, stack.pop())
-        if not s.any():
-            continue
-        pivot = int(np.argmax(s))
-        seeds = np.array([pivot], dtype=np.int64)
-        fwd = _forward_reachable_within(boxmap, seeds, s)
-        bwd = _backward_reachable_within(boxmap, seeds, s)
-        comp = fwd & bwd
-        members = np.flatnonzero(comp)
-        if members.size >= 2:
-            nontrivial[int(members[0])] = members
-        elif _has_self_loop(boxmap, pivot):
-            recurrent_singletons.append(pivot)
-        for part in (fwd & ~comp, bwd & ~comp, s & ~fwd & ~bwd):
-            if part.any():
-                stack.append(part)
-    return nontrivial, recurrent_singletons
 
 
 class Condensation:
     """SCC partition of a box map with recurrence flags.
 
     Component ids are the smallest linearized box index of each member
-    set, which makes numbering deterministic across runs.  dag_edges are
-    materialized lazily and only for maps of moderate edge count.
+    set, which makes numbering deterministic across runs.
     """
 
     def __init__(self, boxmap: BoxMap, comp_of: np.ndarray,
-                 nontrivial: dict, recurrent: np.ndarray):
+                 recurrent: np.ndarray):
         self.boxmap = boxmap
         self.comp_of = comp_of  # flat box index -> component id
-        self._nontrivial = nontrivial  # id -> sorted member array (size >= 2)
         self.recurrent = recurrent  # sorted array of recurrent component ids
         self._recurrent_set = set(int(c) for c in recurrent)
         self._dag_edges = None
@@ -258,16 +39,13 @@ class Condensation:
         return int(self.comp_of[int(box)])
 
     def members(self, cid: int) -> np.ndarray:
-        cid = int(cid)
-        if cid in self._nontrivial:
-            return self._nontrivial[cid]
-        return np.array([cid], dtype=np.int64)
+        return np.flatnonzero(self.comp_of == int(cid))
 
     def is_recurrent(self, cid: int) -> bool:
         return int(cid) in self._recurrent_set
 
     def component_ids(self) -> np.ndarray:
-        return np.unique(self.comp_of[self.comp_of >= 0])
+        return np.unique(self.comp_of)
 
     @property
     def n_components(self) -> int:
@@ -276,71 +54,41 @@ class Condensation:
     def dag_edges(self):
         """Deduplicated edges between distinct components."""
         if self._dag_edges is None:
-            if self.boxmap.total_edges() > _EDGE_LIMIT:
-                raise RuntimeError(
-                    "condensation too large to materialize dag edges; "
-                    "use reachability queries instead"
-                )
-            edges = set()
-            for s, t in self.boxmap.edges():
-                cs, ct = int(self.comp_of[s]), int(self.comp_of[t])
-                if cs != ct:
-                    edges.add((cs, ct))
-            self._dag_edges = edges
+            coo = self.boxmap.adjacency().tocoo()
+            cs, ct = self.comp_of[coo.row], self.comp_of[coo.col]
+            keep = cs != ct
+            self._dag_edges = set(zip(cs[keep].tolist(), ct[keep].tolist()))
         return self._dag_edges
 
 
 def condensation(boxmap: BoxMap) -> Condensation:
     """SCC decomposition of a box map.
 
-    Large rectangle-form maps go through the invariant-part reduction:
-    every cycle lies in the maximal invariant set, so boxes outside it
-    are singleton components and the SCC run only sees the (much
-    smaller) induced subgraph.
+    A component is recurrent when it has at least two boxes or its one
+    box has a self-loop.
     """
-    n = boxmap.n_boxes
-    if boxmap.is_rect_form and boxmap.total_edges() > _EDGE_LIMIT:
-        inv_mask = _invariant_part(boxmap)
-        comp_of = np.arange(n, dtype=np.int64)  # singletons: own index
-        nontrivial, rec_singletons = _fwbw_components(boxmap, inv_mask)
-        recurrent_ids = list(rec_singletons)
-        for cid, members in nontrivial.items():
-            comp_of[members] = cid
-            recurrent_ids.append(cid)
-        recurrent = np.sort(np.asarray(recurrent_ids, dtype=np.int64))
-        return Condensation(boxmap, comp_of, nontrivial, recurrent)
-
-    # explicit materialization + Tarjan
-    members = boxmap.box_indices()
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[members] = np.arange(members.size)
-    adj = [pos[boxmap.targets(int(b))] for b in members]
-    raw_comp, comps = tarjan_scc(adj)
-    comp_ids = np.array([int(members[min(c)]) for c in comps], dtype=np.int64)
-    comp_of = np.full(n, -1, dtype=np.int64)
-    comp_of[members] = comp_ids[raw_comp]
-    nontrivial = {
-        int(comp_ids[k]): np.sort(members[np.asarray(c)])
-        for k, c in enumerate(comps)
-        if len(c) >= 2
-    }
-    recurrent = []
-    for k, c in enumerate(comps):
-        if len(c) >= 2:
-            recurrent.append(int(comp_ids[k]))
-        else:
-            v = c[0]
-            if v in set(int(w) for w in adj[v]):
-                recurrent.append(int(comp_ids[k]))
-    return Condensation(boxmap, comp_of, nontrivial, np.sort(np.array(recurrent, dtype=np.int64)))
+    adj = boxmap.adjacency()
+    n_comp, label = connected_components(adj, directed=True,
+                                         connection="strong")
+    # each component is named by its smallest member box
+    smallest = np.full(n_comp, adj.shape[0], dtype=np.int64)
+    np.minimum.at(smallest, label, np.arange(adj.shape[0]))
+    recurrent = np.bincount(label, minlength=n_comp) >= 2
+    recurrent[label[adj.diagonal() != 0]] = True
+    return Condensation(boxmap, smallest[label], np.sort(smallest[recurrent]))
 
 
 def downset(boxmap: BoxMap, cond: Condensation, cid: int) -> np.ndarray:
-    """All boxes reachable from the component's region, region included."""
+    """All boxes reachable from the component's region, region included.
+
+    The search starts from the box cid alone: the region is strongly
+    connected, so every other member is reached from it.
+    """
     if not cond.is_recurrent(cid):
         raise NodeNotRecurrent(f"component {cid} is not recurrent")
-    reach = _forward_reachable(boxmap, cond.members(cid))
-    return np.flatnonzero(reach)
+    reach = breadth_first_order(boxmap.adjacency(), int(cid), directed=True,
+                                return_predecessors=False)
+    return np.sort(reach).astype(np.int64)
 
 
 class IndexPairC:
@@ -366,20 +114,10 @@ def index_pair(boxmap: BoxMap, cond: Condensation, cid: int) -> IndexPairC:
 
 def verify_attracting_block(boxmap: BoxMap, boxes) -> bool:
     """True iff every box's targets stay inside the set (exterior vacuous)."""
-    boxes = np.asarray(sorted(set(int(b) for b in boxes)), dtype=np.int64)
-    if boxes.size == 0:
-        return True
+    boxes = np.unique(np.asarray(list(boxes), dtype=np.int64))
     mask = np.zeros(boxmap.n_boxes, dtype=bool)
     mask[boxes] = True
-    if boxmap.is_rect_form:
-        inside = _rect_counts(boxmap, mask)[boxes]
-        degrees = boxmap.out_degrees()[boxes]
-        return bool(np.all(inside == degrees))
-    for b in boxes:
-        t = boxmap.targets(int(b))
-        if t.size and not mask[t].all():
-            return False
-    return True
+    return bool(mask[boxmap.adjacency()[boxes].indices].all())
 
 
 class MorseGraph:
@@ -387,14 +125,16 @@ class MorseGraph:
 
     Nodes are numbered 0..m-1 in order of each component's smallest
     member box.  order holds strict pairs (lower, upper): lower < upper
-    means upper reaches lower.
+    means upper reaches lower.  downsets is None for a graph rebuilt
+    from JSON.
     """
 
     def __init__(self, grid: CubicalGrid, component_ids, regions, downsets, order):
         self.grid = grid
         self.component_ids = list(int(c) for c in component_ids)
         self.regions = [np.asarray(r, dtype=np.int64) for r in regions]
-        self.downsets = [np.asarray(d, dtype=np.int64) for d in downsets]
+        self.downsets = (None if downsets is None else
+                         [np.asarray(d, dtype=np.int64) for d in downsets])
         self.order = set((int(a), int(b)) for a, b in order)
         self.index_of = {}
 
@@ -406,6 +146,9 @@ class MorseGraph:
         return self.regions[q]
 
     def downset_of(self, q: int) -> np.ndarray:
+        if self.downsets is None:
+            raise BoxdynError("this Morse graph holds no downsets (it was "
+                              "rebuilt from JSON); recompute it from the box map")
         return self.downsets[q]
 
     def leq(self, a: int, b: int) -> bool:
@@ -448,7 +191,8 @@ class MorseGraph:
                     "id": q,
                     "component": self.component_ids[q],
                     "region": [int(b) for b in self.regions[q]],
-                    "downset_size": int(self.downsets[q].size),
+                    "downset_size": (None if self.downsets is None
+                                     else int(self.downsets[q].size)),
                     "conley_index": None if ci is None else ci.to_jsonable(),
                 }
             )
@@ -481,25 +225,23 @@ def morse_graph(cond: Condensation) -> MorseGraph:
     """Morse graph of a condensation: recurrent components ordered by
     reachability (possibly through non-recurrent components)."""
     boxmap = cond.boxmap
-    comp_ids = sorted(int(c) for c in cond.recurrent)
+    comp_ids = [int(c) for c in cond.recurrent]
     regions = [cond.members(c) for c in comp_ids]
-    downsets = []
+    downsets = [downset(boxmap, cond, c) for c in comp_ids]
     order = set()
-    for qi, cid in enumerate(comp_ids):
-        reach = _forward_reachable(boxmap, cond.members(cid))
-        downsets.append(np.flatnonzero(reach))
-        for qj, cj in enumerate(comp_ids):
-            if qj != qi and reach[cond.members(cj)].any():
-                order.add((qj, qi))  # qj < qi: qi reaches qj
+    for qi, ds in enumerate(downsets):
+        for qj in np.flatnonzero(np.isin(comp_ids, ds)):
+            if qj != qi:
+                order.add((int(qj), qi))  # qj < qi: qi reaches qj
     return MorseGraph(boxmap.grid, comp_ids, regions, downsets, order)
 
 
 def morse_graph_from_jsonable(doc: dict, index_factory=None) -> MorseGraph:
     """Rebuild a MorseGraph from its JSON document.
 
-    Downsets are not stored; they are recomputed lazily as empty arrays
-    here (the JSON document is a record of nodes, order, and regions).
-    index_factory maps the serialized Conley-index payload back to an
+    Downsets are not stored, so the rebuilt graph has none and
+    downset_of raises (the JSON document is a record of nodes, order,
+    and regions).  index_factory maps the serialized Conley-index payload back to an
     index object.
     """
     g = doc["grid"]
@@ -509,7 +251,7 @@ def morse_graph_from_jsonable(doc: dict, index_factory=None) -> MorseGraph:
         grid,
         [nd["component"] for nd in nodes],
         [np.asarray(nd["region"], dtype=np.int64) for nd in nodes],
-        [np.empty(0, dtype=np.int64) for _ in nodes],
+        None,
         [tuple(p) for p in doc["order"]],
     )
     if index_factory is not None:

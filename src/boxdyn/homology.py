@@ -8,11 +8,11 @@ least one coface box in P1 \\ P0 and none in P0.
 
 The index map on homology is built as an acyclic-carrier chain map.
 The carrier used for construction assigns to each cell the intersection
-of the targets of its cofaces in P1; this is contained in the union
-carrier, shrinks as cells grow (so faces have larger carriers), and for
-rectangle-form box maps is itself a box rectangle, where the equation
-del(c) = phi(del(sigma)) is solved in closed form by a chain
-contraction instead of linear algebra.
+of the target ranges of its cofaces in P1.  A box map stores rectangle
+target ranges, so this carrier is itself a box rectangle; it is
+contained in the union carrier, shrinks as cells grow (so faces have
+larger carriers), and on it the equation del(c) = phi(del(sigma)) is
+solved in closed form by a chain contraction instead of linear algebra.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def box_cells(j):
 
 
 # ---------------------------------------------------------------------------
-# mod-p helpers (dense, for small local systems and test oracles)
+# mod-p helpers (dense, for small index matrices and test oracles)
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -372,19 +372,6 @@ def _carrier_rect(boxmap: BoxMap, complex: PairComplex, cell):
     return lo, hi
 
 
-def _carrier_boxes(boxmap: BoxMap, complex: PairComplex, cell):
-    """Construction carrier for explicit maps: intersection of target sets."""
-    grid = boxmap.grid
-    acc = None
-    for j in cell_coface_boxes(cell, grid.shape):
-        lin = grid.linearize(j)
-        if lin not in complex.p1:
-            continue
-        t = set(int(x) for x in boxmap.targets(lin))
-        acc = t if acc is None else (acc & t)
-    return set() if acc is None else acc
-
-
 def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:
     """Chain contraction of the full rectangle complex with base vertex lo.
 
@@ -415,12 +402,11 @@ def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:
 
 
 class ChainMapData:
-    """phi per cell plus the carrier assignment used to build it."""
+    """phi per cell of a relative complex."""
 
-    def __init__(self, complex: PairComplex, phi: dict, carriers: dict):
+    def __init__(self, complex: PairComplex, phi: dict):
         self.complex = complex
         self.phi = phi  # cell -> chain over complex cells (quotient)
-        self.carriers = carriers  # cell -> sorted linear box array
 
     def apply(self, chain: dict) -> dict:
         p = self.complex.prime
@@ -443,26 +429,14 @@ class ChainMapData:
         return "\n".join(lines) + "\n"
 
 
-def _check_acyclic_carrier(grid, boxes, prime, cell):
-    """Reduced homology of the closed realization of a box set must vanish."""
-    sub = PairComplex(grid, boxes, set(), prime)
-    basis = HomologyBasis(sub)
-    ok = basis.rank(0) == 1 and all(
-        basis.rank(k) == 0 for k in range(1, grid.dimension + 1)
-    )
-    if not ok:
-        raise CarrierNotAcyclic(cell, "carrier has nonvanishing reduced homology")
-
-
 def chain_map(boxmap: BoxMap, complex: PairComplex,
               vertex_rule: str = "smallest") -> ChainMapData:
     """Endomorphism of the relative chain complex carried by the box map.
 
     Built in the full cubical complex dimension by dimension and then
     projected to the quotient; cells outside the complex are dropped.
-    For rectangle carriers the boundary equation is solved by the chain
-    contraction; non-rectangular carriers (explicit maps) are checked
-    for acyclicity and solved by Gaussian elimination over F_p.
+    Every carrier is a box rectangle, where the boundary equation is
+    solved by the chain contraction.
     vertex_rule "largest" picks the opposite corner in dim 0 (used to
     confirm choice-independence of the induced homology map).
     """
@@ -487,27 +461,14 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     cells = sorted(domain, key=lambda c: (cell_dim(c), c[0], c[1]))
 
     phi_full = {}
-    carriers = {}
     for cell in cells:
-        if boxmap.is_rect_form:
-            rect = _carrier_rect(boxmap, complex, cell)
-            if rect is None:
-                raise CarrierNotAcyclic(cell, "carrier is empty")
-            lo, hi = rect
-        else:
-            cboxes = _carrier_boxes(boxmap, complex, cell)
-            if not cboxes:
-                raise CarrierNotAcyclic(cell, "carrier is empty")
-        dim = cell_dim(cell)
-        if dim == 0:
-            if boxmap.is_rect_form:
-                corner = lo if vertex_rule == "smallest" else hi + 1
-                phi_full[cell] = {(tuple(int(v) for v in corner), 0): 1}
-            else:
-                mis = sorted(grid.multi_index(b) for b in cboxes)
-                j = mis[0] if vertex_rule == "smallest" else mis[-1]
-                off = 0 if vertex_rule == "smallest" else 1
-                phi_full[cell] = {(tuple(v + off for v in j), 0): 1}
+        rect = _carrier_rect(boxmap, complex, cell)
+        if rect is None:
+            raise CarrierNotAcyclic(cell, "carrier is empty")
+        lo, hi = rect
+        if cell_dim(cell) == 0:
+            corner = lo if vertex_rule == "smallest" else hi + 1
+            phi_full[cell] = {(tuple(int(v) for v in corner), 0): 1}
         else:
             rhs = {}
             for face, sign in cell_faces(cell):
@@ -517,35 +478,14 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
                         rhs[c2] = nv
                     else:
                         rhs.pop(c2, None)
-            if boxmap.is_rect_form:
-                phi_full[cell] = _contract(rhs, lo, p)
-            else:
-                _check_acyclic_carrier(grid, cboxes, p, cell)
-                sub = PairComplex(grid, cboxes, set(), p)
-                mat = sub.boundary_matrix(dim)
-                cols = [c for c in sub.cells if cell_dim(c) == dim]
-                rows = [c for c in sub.cells if cell_dim(c) == dim - 1]
-                ridx = {c: i for i, c in enumerate(rows)}
-                b = np.zeros(len(rows), dtype=np.int64)
-                for c2, v in rhs.items():
-                    b[ridx[c2]] = v
-                x = solve_mod_p(mat, b, p)
-                if x is None:
-                    raise CarrierNotAcyclic(cell, "boundary equation unsolvable")
-                phi_full[cell] = {cols[i]: int(x[i]) % p
-                                  for i in np.flatnonzero(x % p)}
-        if boxmap.is_rect_form:
-            carriers[cell] = (lo, hi)
+            phi_full[cell] = _contract(rhs, lo, p)
 
     # project to the quotient
-    phi = {}
-    carrier_sets = {}
-    for cell in complex.cells:
-        phi[cell] = {c2: v for c2, v in phi_full[cell].items()
-                     if c2 in complex.cell_index}
-        carrier_sets[cell] = carrier(boxmap, complex, cell)
+    phi = {cell: {c2: v for c2, v in phi_full[cell].items()
+                  if c2 in complex.cell_index}
+           for cell in complex.cells}
 
-    cm = ChainMapData(complex, phi, carrier_sets)
+    cm = ChainMapData(complex, phi)
     _assert_chain_map(cm)
     return cm
 

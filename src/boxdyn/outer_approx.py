@@ -3,31 +3,35 @@
 build_boxmap inflates each box's image enclosure by rho (sup metric, so
 rectangles stay rectangles) and records every grid box the result meets.
 Because enclosures are rectangles, the target set of a box is always a
-contiguous block of indices; the adjacency is stored as per-box index
-ranges, which keeps multi-million-box maps in memory.  Boxes whose
-inflated enclosure misses the phase space entirely are flagged exterior
-and get an empty target list: escape is data, not failure.
+contiguous block of indices, so a BoxMap stores per-box index ranges.
+BoxMap.adjacency expands those ranges once into a sparse CSR matrix;
+that matrix is the only form of the edges the graph algorithms see.
+Boxes whose inflated enclosure misses the phase space entirely are
+flagged exterior and get no targets: escape is data, not failure.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import GridMismatch
 from .grid import CubicalGrid
 from .oracles import MapOracle
 
+# edges expanded per step of BoxMap.adjacency; bounds its temporary arrays
+_CHUNK_EDGES = 1 << 16
+
 
 class BoxMap:
     """Directed graph on top-dimensional grid boxes.
 
-    Two storage forms: 'rect' keeps per-box inclusive target index ranges
-    (jmin/jmax, shape (n, d)); 'explicit' keeps a target array per box
-    (produced by restrict_to).  Exterior boxes have empty targets.
+    jmin/jmax (shape (n, d)) are the inclusive per-axis target index
+    ranges of each box.  Exterior boxes have no targets.
     """
 
-    def __init__(self, grid: CubicalGrid, rho: float, *, jmin=None, jmax=None,
-                 exterior=None, explicit=None, members=None):
+    def __init__(self, grid: CubicalGrid, rho: float, *, jmin, jmax,
+                 exterior=None):
         self.grid = grid
         self.rho = float(rho)
         self.jmin = jmin
@@ -35,50 +39,19 @@ class BoxMap:
         if exterior is None:
             exterior = np.zeros(grid.box_count, dtype=bool)
         self.exterior = exterior
-        self._explicit = explicit  # dict: linear index -> sorted int64 array
-        self._members = members  # restricted domain (sorted array) or None
-
-    @property
-    def is_rect_form(self) -> bool:
-        return self._explicit is None
+        self._adjacency = None
 
     @property
     def n_boxes(self) -> int:
         return self.grid.box_count
 
-    def box_indices(self) -> np.ndarray:
-        """Linearized indices of boxes in the map's domain."""
-        if self._members is not None:
-            return self._members
-        return np.arange(self.n_boxes, dtype=np.int64)
-
     def target_ranges(self, linear: int):
-        """Inclusive (jmin, jmax) index ranges, or None if empty/explicit."""
-        if not self.is_rect_form or self.exterior[linear]:
+        """Inclusive (jmin, jmax) index ranges, or None for exterior boxes."""
+        if self.exterior[linear]:
             return None
         return self.jmin[linear], self.jmax[linear]
 
-    def targets(self, linear: int) -> np.ndarray:
-        """Sorted linearized target indices of a box."""
-        linear = int(linear)
-        if self._explicit is not None:
-            return self._explicit.get(linear, np.empty(0, dtype=np.int64))
-        if self.exterior[linear]:
-            return np.empty(0, dtype=np.int64)
-        lo = self.jmin[linear]
-        hi = self.jmax[linear]
-        grids = np.meshgrid(
-            *[np.arange(lo[i], hi[i] + 1) for i in range(self.grid.dimension)],
-            indexing="ij",
-        )
-        return np.ravel_multi_index([g.ravel() for g in grids], self.grid.shape)
-
     def out_degrees(self) -> np.ndarray:
-        if self._explicit is not None:
-            deg = np.zeros(self.n_boxes, dtype=np.int64)
-            for b, t in self._explicit.items():
-                deg[b] = t.size
-            return deg
         deg = np.prod(self.jmax.astype(np.int64) - self.jmin + 1, axis=1)
         deg[self.exterior] = 0
         return deg
@@ -86,11 +59,61 @@ class BoxMap:
     def total_edges(self) -> int:
         return int(self.out_degrees().sum())
 
+    def adjacency(self) -> csr_matrix:
+        """n x n CSR matrix with a nonzero at (box, target) for every edge.
+
+        Expanded from the target ranges on first use and cached.  Column
+        indices are int32 and sorted within each row, because each
+        range is enumerated in ravel order; exterior rows are empty.
+        """
+        if self._adjacency is None:
+            self._adjacency = self._expand()
+        return self._adjacency
+
+    def _expand(self) -> csr_matrix:
+        n = self.n_boxes
+        shape = self.grid.shape
+        strides = np.array([int(np.prod(shape[i + 1:])) for i in range(len(shape))],
+                           dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.out_degrees(), out=indptr[1:])
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        # box boundaries of runs of about _CHUNK_EDGES edges each
+        cuts = np.searchsorted(indptr, np.arange(0, indptr[-1], _CHUNK_EDGES),
+                               side="right") - 1
+        for a, b in zip(cuts, np.append(cuts[1:], n)):
+            if a == b:
+                continue
+            # a target rectangle is a set of runs of consecutive indices
+            # along the last axis; find each run's start, then fill it
+            lo = self.jmin[a:b].astype(np.int64)
+            widths = self.jmax[a:b].astype(np.int64) - lo + 1
+            widths[self.exterior[a:b]] = 0
+            runs = widths[:, :-1].prod(axis=1)
+            run_box = np.repeat(np.arange(b - a), runs)
+            local = np.arange(run_box.size) - np.repeat(np.cumsum(runs) - runs, runs)
+            start = lo[run_box] @ strides
+            for axis in reversed(range(len(shape) - 1)):
+                w = widths[run_box, axis]
+                start += (local % w) * strides[axis]
+                local //= w
+            length = widths[run_box, -1]
+            offset = np.cumsum(length) - length
+            indices[indptr[a]:indptr[b]] = (np.arange(indptr[b] - indptr[a])
+                                            + np.repeat(start - offset, length))
+        data = np.ones(indices.size, dtype=np.float64)
+        return csr_matrix((data, indices, indptr), shape=(n, n))
+
+    def targets(self, linear: int) -> np.ndarray:
+        """Sorted linearized target indices of a box."""
+        adj = self.adjacency()
+        linear = int(linear)
+        return adj.indices[adj.indptr[linear]:adj.indptr[linear + 1]].astype(np.int64)
+
     def edges(self):
         """Iterate (source, target) pairs of linearized indices."""
-        for b in self.box_indices():
-            for t in self.targets(int(b)):
-                yield int(b), int(t)
+        coo = self.adjacency().tocoo()
+        return zip(coo.row.tolist(), coo.col.tolist())
 
     def export_edge_list(self, path):
         with open(path, "w") as fh:
@@ -115,33 +138,9 @@ def encloses(a: BoxMap, b: BoxMap) -> bool:
     """True iff every target set of b is contained in a's."""
     if a.grid != b.grid:
         raise GridMismatch("box maps live on different grids")
-    if a.is_rect_form and b.is_rect_form:
-        ok = b.exterior | (
-            np.all(a.jmin <= b.jmin, axis=1)
-            & np.all(a.jmax >= b.jmax, axis=1)
-            & ~a.exterior
-        )
-        return bool(ok.all())
-    for box in b.box_indices():
-        tb = b.targets(int(box))
-        if tb.size and not np.all(np.isin(tb, a.targets(int(box)))):
-            return False
-    return True
-
-
-def restrict_to(boxmap: BoxMap, boxes) -> BoxMap:
-    """Subgraph induced on a box set; targets outside the set are dropped."""
-    members = np.unique(np.asarray(list(boxes), dtype=np.int64))
-    mask = np.zeros(boxmap.n_boxes, dtype=bool)
-    mask[members] = True
-    explicit = {}
-    for b in members:
-        t = boxmap.targets(int(b))
-        explicit[int(b)] = t[mask[t]]
-    return BoxMap(
-        boxmap.grid,
-        boxmap.rho,
-        exterior=boxmap.exterior.copy(),
-        explicit=explicit,
-        members=members,
+    ok = b.exterior | (
+        np.all(a.jmin <= b.jmin, axis=1)
+        & np.all(a.jmax >= b.jmax, axis=1)
+        & ~a.exterior
     )
+    return bool(ok.all())

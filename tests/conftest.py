@@ -1,4 +1,5 @@
-"""Shared helpers: hand-built digraph box maps and brute-force oracles.
+"""Shared helpers: hand-built digraph box maps, brute-force oracles and
+the shared Leslie 9x9 analysis.
 
 The brute-force routines here are deliberately independent of the library
 internals (Floyd-Warshall closures, dense rank counts) so the fast
@@ -6,28 +7,33 @@ implementations are checked against slow-but-obvious ones.
 """
 
 import math
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from boxdyn import BoxMap, CubicalGrid, PhaseSpace
+from boxdyn import (CubicalGrid, LeslieOracle, PhaseSpace, build_boxmap,
+                    condensation, conley_index, morse_graph)
 
 
 def digraph_boxmap(n, edges, depth=None):
-    """Explicit-form BoxMap realizing an arbitrary digraph on n nodes.
+    """Stand-in for a BoxMap realizing an arbitrary digraph on n nodes.
 
     Nodes are the first n boxes of a 1-D grid; edges is an iterable of
-    (source, target) pairs.
+    (source, target) pairs.  It carries what the graph algorithms read
+    from a box map: grid, n_boxes, exterior and adjacency().
     """
     if depth is None:
         depth = max(1, math.ceil(math.log2(max(n, 2))))
     grid = CubicalGrid(PhaseSpace([0.0], [float(1 << depth)]), [depth])
-    adj = {}
-    for s, t in edges:
-        adj.setdefault(int(s), set()).add(int(t))
-    explicit = {s: np.array(sorted(ts), dtype=np.int64) for s, ts in adj.items()}
-    members = np.arange(n, dtype=np.int64)
-    return BoxMap(grid, 0.0, explicit=explicit, members=members)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                     shape=(n, n))
+    return SimpleNamespace(grid=grid, n_boxes=n,
+                           exterior=np.zeros(n, dtype=bool),
+                           adjacency=lambda: adj)
 
 
 def reachability_closure(n, edges):
@@ -83,3 +89,20 @@ def brute_betti(complex, max_dim):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture(scope="session")
+def leslie_coarse():
+    """Leslie at depths (9,9), rho = 0.03, p = 5, with every Conley index.
+
+    Shared by acceptance criterion 3 and the regression pin.  Returns the
+    analyzed Morse graph and the seconds its computation took.
+    """
+    t0 = time.perf_counter()
+    grid = CubicalGrid(PhaseSpace((0.0, 0.0), (90.0, 70.0)), (9, 9))
+    bm = build_boxmap(grid, LeslieOracle((23.5, 23.5)), 0.03)
+    cond = condensation(bm)
+    mg = morse_graph(cond)
+    for q, cid in enumerate(mg.component_ids):
+        mg.index_of[q] = conley_index(bm, cond, cid, prime=5)
+    return mg, time.perf_counter() - t0

@@ -14,7 +14,6 @@ import resource
 import time
 
 import numpy as np
-import pytest
 
 from boxdyn import (
     CallableOracle,
@@ -35,7 +34,6 @@ from boxdyn import (
     shift_class,
     shift_invariant_factors,
 )
-from boxdyn.graph_dynamics import tarjan_scc
 from boxdyn.homology import cell_faces
 
 from conftest import brute_betti, brute_sccs, digraph_boxmap
@@ -142,22 +140,6 @@ class TestCriterion2:
             ("runtime < 1 s", elapsed < 1.0),
         ]
         report(2, checks)
-
-
-@pytest.fixture(scope="module")
-def leslie_coarse():
-    """Leslie at depths (9,9), the criterion-3 run (rho = 0.03).
-
-    Returns the analyzed Morse graph and the seconds its computation took.
-    """
-    t0 = time.perf_counter()
-    grid = CubicalGrid(PhaseSpace((0.0, 0.0), (90.0, 70.0)), (9, 9))
-    bm = build_boxmap(grid, LeslieOracle((23.5, 23.5)), 0.03)
-    cond = condensation(bm)
-    mg = morse_graph(cond)
-    for q, cid in enumerate(mg.component_ids):
-        mg.index_of[q] = conley_index(bm, cond, cid, prime=5)
-    return mg, time.perf_counter() - t0
 
 
 class TestCriterion3:

@@ -184,6 +184,28 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--config", str(cfg_path)]) == 0
         assert caches[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
 
+    def test_cache_follows_oracle_file_contents(self, tmp_path):
+        """Rewriting the weights file must not reuse the old box map."""
+        weights = tmp_path / "w.txt"
+        cfg_path = write_config(tmp_path / "c.json",
+                                domain={"lower": [-1.0], "upper": [1.0]},
+                                oracle={"type": "mlp",
+                                        "weights": str(weights)})
+        graph = tmp_path / "out" / "morse_graph.json"
+
+        def label_at_origin(slope):
+            weights.write_text("mlp-weights v1\nactivation relu\nlayers 1\n"
+                               f"layer 1 1\n{slope}\n0\n")
+            assert main(["analyze", "--config", str(cfg_path)]) == 0
+            mg = load_morse_graph(graph)
+            box = mg.grid.linearize(mg.grid.box_containing([0.0]))
+            q, = [q for q in mg.nodes if box in mg.region_of(q)]
+            return mg.index_of[q].labels()
+
+        assert label_at_origin(0.5) == ("x - 1", "0")  # attracting
+        assert label_at_origin(2.0) == ("0", "x - 1")  # repelling
+        assert len(list((tmp_path / "out").glob("boxmap_*.npz"))) == 2
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", prime=9)
         assert main(["analyze", "--config", str(cfg_path)]) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boxdyn import (
+    BoxdynError,
     CubicalGrid,
     MorseGraph,
     PhaseSpace,
@@ -10,6 +11,7 @@ from boxdyn import (
     check_epimorphism,
     condensation,
     morse_graph,
+    morse_graph_from_jsonable,
     project,
 )
 from boxdyn.compare import coarsen_boxes, morse_tiles
@@ -145,6 +147,14 @@ class TestProject:
         assert not nu.well_defined
         assert nu.straddles and nu.straddles[0].node == 0
         assert len(nu.straddles[0].candidates) >= 2
+
+    def test_reloaded_coarse_graph_has_no_tiles(self):
+        """A graph rebuilt from JSON has no downsets, so projecting onto
+        it fails loudly instead of reporting every fine node a straddle."""
+        fine = piecewise_graph(10)
+        coarse = morse_graph_from_jsonable(piecewise_graph(8).to_jsonable())
+        with pytest.raises(BoxdynError, match="no downsets"):
+            project(fine, coarse)
 
     def test_json_roundtrip_fields(self):
         fine = piecewise_graph(10)

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from boxdyn import (
+    CallableOracle,
     CubicalGrid,
     NodeNotRecurrent,
     PhaseSpace,
@@ -15,7 +17,7 @@ from boxdyn import (
     morse_graph,
     verify_attracting_block,
 )
-from boxdyn.graph_dynamics import morse_graph_from_jsonable, tarjan_scc
+from boxdyn.graph_dynamics import morse_graph_from_jsonable
 
 from conftest import brute_sccs, digraph_boxmap, reachability_closure
 
@@ -77,23 +79,50 @@ class TestCondensation:
             )
             assert not any(closure[c, c] for c in ids)
 
-    def test_tarjan_matches_scipy_on_random_graphs(self, rng):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        for _ in range(50):
-            n = int(rng.integers(2, 30))
-            dense = rng.random((n, n)) < 0.15
-            adj = [np.flatnonzero(dense[v]) for v in range(n)]
-            comp_of, comps = tarjan_scc(adj)
-            ncomp, labels = connected_components(
-                csr_matrix(dense), connection="strong"
+    def test_boxmaps_against_brute_force(self, rng):
+        """Real box maps: SCCs, recurrence, downsets and order against the
+        brute-force oracles on the edge list expanded from the ranges."""
+        maps = [build_boxmap(CubicalGrid(PhaseSpace([-2.0], [2.0]), [7]),
+                             PiecewiseExample1D(1.5), 2e-3)]
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 3])
+        for _ in range(20):
+            a = rng.random(4) * 2 - 1
+            f = lambda x, a=a: np.array(
+                [
+                    0.5 + 0.4 * np.sin(a[0] * x[0] + a[1] * x[1]),
+                    0.5 + 0.4 * np.cos(a[2] * x[0] + a[3] * x[1]),
+                ]
             )
-            assert len(comps) == ncomp
-            # same partition, possibly different numbering
-            for v in range(n):
-                for w in range(n):
-                    assert (comp_of[v] == comp_of[w]) == (labels[v] == labels[w])
+            maps.append(build_boxmap(grid, CallableOracle(f, 2.0, 2), 0.0))
+        for bm in maps:
+            n = bm.n_boxes
+            edges = [
+                (b, bm.grid.linearize(t))
+                for b in range(n) if not bm.exterior[b]
+                for t in itertools.product(*[
+                    range(lo, hi + 1) for lo, hi in zip(bm.jmin[b], bm.jmax[b])
+                ])
+            ]
+            assert sorted(bm.edges()) == sorted(edges)
+            cond = condensation(bm)
+            comps, rec = brute_sccs(n, edges)
+            for comp, r in zip(comps, rec):
+                cid = cond.component_of(comp[0])
+                assert cond.members(cid).tolist() == comp
+                assert cond.is_recurrent(cid) == r
+            assert cond.n_components == len(comps)
+            mg = morse_graph(cond)
+            want = [c for c, r in zip(comps, rec) if r]
+            assert [mg.region_of(q).tolist() for q in mg.nodes] == want
+            closure = reachability_closure(n, edges)
+            roots = [c[0] for c in want]
+            for q, root in enumerate(roots):
+                reach = closure[root].copy()
+                reach[root] = True
+                assert mg.downset_of(q).tolist() == np.flatnonzero(reach).tolist()
+            assert mg.order == {(a, b) for a, ra in enumerate(roots)
+                                for b, rb in enumerate(roots)
+                                if a != b and closure[rb, ra]}
 
 
 class TestDownsetAndIndexPair:
@@ -265,56 +294,3 @@ class TestMorseGraph:
         assert all(
             np.array_equal(a, b) for a, b in zip(back.regions, mg.regions)
         )
-
-
-class TestScalableCondensationPath:
-    def test_rect_form_matches_explicit_tarjan(self, rng):
-        """Force the mask-based splitting path and compare with Tarjan."""
-        import boxdyn.graph_dynamics as gd
-
-        grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [7])
-        bm = build_boxmap(grid, PiecewiseExample1D(1.5), 2e-3)
-        base = condensation(bm)
-        old = gd._EDGE_LIMIT
-        gd._EDGE_LIMIT = 0
-        try:
-            scalable = condensation(bm)
-        finally:
-            gd._EDGE_LIMIT = old
-        assert np.array_equal(
-            np.sort(base.recurrent), np.sort(scalable.recurrent)
-        )
-        for cid in base.recurrent:
-            assert np.array_equal(
-                base.members(int(cid)), scalable.members(int(cid))
-            )
-        assert morse_graph(base).order == morse_graph(scalable).order
-
-    def test_rect_form_random_oracles(self, rng):
-        import boxdyn.graph_dynamics as gd
-        from boxdyn import CallableOracle
-
-        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 3])
-        for trial in range(20):
-            a = rng.random(4) * 2 - 1
-            f = lambda x, a=a: np.array(
-                [
-                    0.5 + 0.4 * np.sin(a[0] * x[0] + a[1] * x[1]),
-                    0.5 + 0.4 * np.cos(a[2] * x[0] + a[3] * x[1]),
-                ]
-            )
-            bm = build_boxmap(grid, CallableOracle(f, 2.0, 2), 0.0)
-            base = condensation(bm)
-            old = gd._EDGE_LIMIT
-            gd._EDGE_LIMIT = 0
-            try:
-                scalable = condensation(bm)
-            finally:
-                gd._EDGE_LIMIT = old
-            assert np.array_equal(
-                np.sort(base.recurrent), np.sort(scalable.recurrent)
-            )
-            for cid in base.recurrent:
-                assert np.array_equal(
-                    base.members(int(cid)), scalable.members(int(cid))
-                )

@@ -9,8 +9,8 @@ from boxdyn import (
     PiecewiseExample1D,
     build_boxmap,
     encloses,
-    restrict_to,
 )
+from boxdyn.outer_approx import _CHUNK_EDGES
 
 
 def identity_oracle(d=1):
@@ -130,28 +130,28 @@ class TestEncloses:
             encloses(a, b)
 
 
-class TestRestrictTo:
-    def test_restrict_to_all_is_identity(self):
-        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [3])
-        bm = build_boxmap(grid, identity_oracle(), 0.0)
-        sub = restrict_to(bm, range(grid.box_count))
+class TestAdjacency:
+    def test_rows_are_the_target_ranges_across_chunks(self):
+        # f(x) = 3x - 1 sends the outer boxes out of the unit square
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [7, 7])
+        bm = build_boxmap(grid, CallableOracle(lambda x: 3 * x - 1, 3.0, 2),
+                          0.01)
+        assert 0 < bm.exterior.sum() < grid.box_count
+        adj = bm.adjacency()
+        assert adj is bm.adjacency()  # expanded once
+        assert adj.nnz == bm.total_edges() > 2 * _CHUNK_EDGES
+        assert adj.indices.dtype == np.int32
         for k in range(grid.box_count):
-            assert np.array_equal(sub.targets(k), bm.targets(k))
-
-    def test_restrict_to_single_box_identity(self):
-        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [3])
-        bm = build_boxmap(grid, identity_oracle(), 0.0)
-        sub = restrict_to(bm, [3])
-        assert list(sub.targets(3)) == [3]
-        assert sub.box_indices().tolist() == [3]
-
-    def test_forward_invariant_set_loses_nothing(self):
-        grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
-        bm = build_boxmap(grid, constant_oracle([0.0]), 0.0)
-        inv = sorted(set(int(t) for t in bm.targets(0)))
-        sub = restrict_to(bm, inv)
-        for b in inv:
-            assert np.array_equal(sub.targets(b), bm.targets(b))
+            row = adj.indices[adj.indptr[k]:adj.indptr[k + 1]]
+            if bm.exterior[k]:
+                assert row.size == 0
+                continue
+            axes = [np.arange(lo, hi + 1)
+                    for lo, hi in zip(bm.jmin[k], bm.jmax[k])]
+            want = np.ravel_multi_index(
+                [g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                grid.shape)
+            assert np.array_equal(row, want)  # sorted, in ravel order
 
     def test_edge_list_export(self, tmp_path):
         grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])

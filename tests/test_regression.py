@@ -8,7 +8,6 @@ machinery shows up as a structural diff rather than a silent drift.
 
 from boxdyn import (
     CubicalGrid,
-    LeslieOracle,
     PhaseSpace,
     PiecewiseExample1D,
     build_boxmap,
@@ -44,9 +43,9 @@ def test_piecewise_depth10_structure():
     assert mg.minimal_nodes() == [0, 4]
 
 
-def test_leslie_depth9_structure():
-    mg = analyzed(PhaseSpace((0.0, 0.0), (90.0, 70.0)), (9, 9),
-                  LeslieOracle((23.5, 23.5)), 0.03)
+def test_leslie_depth9_structure(leslie_coarse):
+    # Leslie at (9, 9), rho = 0.03, p = 5: computed once in conftest.py
+    mg, _ = leslie_coarse
     sizes = [len(mg.region_of(q)) for q in mg.nodes]
     assert len(mg.nodes) == 6
     assert sizes == [1, 2301, 3, 18707, 4, 9574]

@@ -19,11 +19,9 @@ from .graph_dynamics import (Condensation, IndexPairC, MorseGraph,
                              condensation, downset, index_pair, morse_graph,
                              morse_graph_from_jsonable,
                              verify_attracting_block)
-from .grid import (CubicalGrid, PhaseSpace, Rect, box_containing,
-                   boxes_intersecting, grid_diameter)
-from .homology import (ChainMapData, HomologyBasis, PairComplex,
-                       build_pair_complex, carrier, chain_map,
-                       induced_homology_map, rank_mod_p, relative_homology,
+from .grid import CubicalGrid, PhaseSpace, Rect
+from .homology import (ChainMapData, HomologyBasis, PairComplex, carrier,
+                       chain_map, induced_homology_map, rank_mod_p,
                        solve_mod_p)
 from .oracles import (CallableOracle, LeslieOracle, LipschitzDataOracle,
                       MapOracle, MlpOracle, PiecewiseExample1D)
@@ -39,12 +37,10 @@ __all__ = [
     "MapOracle", "MlpOracle", "MorseGraph", "NodeNotRecurrent", "NuMap",
     "PairComplex", "ParseError", "PhaseSpace", "PiecewiseExample1D",
     "PointOutsideDomain", "Rect", "RegionStraddlesTiles",
-    "box_containing", "boxes_intersecting", "build_boxmap",
-    "build_pair_complex", "carrier", "chain_map", "charpoly_mod_p",
+    "build_boxmap", "carrier", "chain_map", "charpoly_mod_p",
     "check_epimorphism", "condensation", "conley_index", "downset",
-    "encloses", "format_poly", "grid_diameter", "index_pair",
-    "induced_homology_map", "invariant_factors_mod_p", "morse_graph",
-    "morse_graph_from_jsonable", "morse_tiles", "nontriviality", "project",
-    "rank_mod_p", "relative_homology", "shift_class",
+    "encloses", "format_poly", "index_pair", "induced_homology_map",
+    "invariant_factors_mod_p", "morse_graph", "morse_graph_from_jsonable",
+    "morse_tiles", "nontriviality", "project", "rank_mod_p", "shift_class",
     "shift_invariant_factors", "solve_mod_p", "verify_attracting_block",
 ]

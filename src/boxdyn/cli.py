@@ -369,6 +369,18 @@ def _empty_config() -> AnalysisConfig:
     return AnalysisConfig(lower=[], upper=[], depths=[], rho=0.0)
 
 
+def _bind_domain(argv):
+    """Join "--domain VALUE" into "--domain=VALUE": argparse reads a
+    value with a negative lower bound, such as -1:1, as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--domain":
+            out[-1] = f"--domain={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="boxdyn",
@@ -395,7 +407,9 @@ def main(argv=None) -> int:
     pc.add_argument("--coarse", required=True, help="coarse config JSON")
     pc.add_argument("--out", help="output directory for nu_report.json")
 
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_bind_domain(argv))
     try:
         if args.command == "analyze":
             cfg = load_config(args.config) if args.config else _empty_config()

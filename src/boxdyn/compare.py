@@ -36,10 +36,9 @@ def _refinement_shifts(fine: MorseGraph, coarse: MorseGraph) -> np.ndarray:
 def coarsen_boxes(fine: MorseGraph, coarse: MorseGraph, boxes) -> np.ndarray:
     """Coarse boxes containing the given fine boxes; exact index shifts."""
     shifts = _refinement_shifts(fine, coarse)
-    mi = np.stack([fine.grid.multi_index(int(b)) for b in np.atleast_1d(boxes)])
-    cmi = mi >> shifts[None, :]
-    lin = np.ravel_multi_index(tuple(cmi.T), coarse.grid.shape)
-    return np.unique(lin)
+    mi = np.unravel_index(np.atleast_1d(boxes), fine.grid.shape)
+    cmi = tuple(j >> s for j, s in zip(mi, shifts))
+    return np.unique(np.ravel_multi_index(cmi, coarse.grid.shape))
 
 
 class NuMap:

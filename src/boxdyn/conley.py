@@ -1,11 +1,11 @@
 """Shift-equivalence invariant of the induced homology map.
 
 Over a field the shift class of a square matrix is the similarity class
-of its restriction to the eventual image (the nilpotent part discarded).
-The canonical label per dimension is the characteristic polynomial of
-that restriction, computed division-free by the Berkowitz algorithm;
-the full invariant-factor list is retained internally via Smith normal
-form of xI - A over F_p[x].
+of its restriction to the eventual image (the nilpotent part discarded;
+Franks and Richeson, Shift equivalence and the Conley index, 2000).
+That class is fixed by the restriction's invariant factors, from the
+Smith normal form of xI - A over F_p[x]; the label per dimension is
+their product, the restriction's characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import BoxdynError
 from .graph_dynamics import Condensation, index_pair
-from .homology import (HomologyBasis, PairComplex, _inv_mod, chain_map,
-                       induced_homology_map, rank_mod_p, solve_mod_p)
+from .homology import (HomologyBasis, PairComplex, _inv_mod, _row_reduce,
+                       chain_map, induced_homology_map)
 from .outer_approx import BoxMap
 
 # polynomials over F_p are tuples of coefficients, ascending powers,
@@ -92,36 +92,17 @@ def format_poly(coeffs, p) -> str:
     return "".join(parts) if parts else "0"
 
 
-def charpoly_mod_p(m: np.ndarray, p: int):
-    """Characteristic polynomial det(xI - m) over F_p, Berkowitz method.
+def _poly_product(polys, p):
+    out = (1,)
+    for f in polys:
+        out = _poly_mul(out, f, p)
+    return out
 
-    Division-free, so it works for any prime modulus regardless of the
-    matrix size.  Returns ascending coefficients, monic.
-    """
-    a = np.array(m, dtype=np.int64) % p
-    n = a.shape[0]
-    if n == 0:
-        return (1,)
-    # vector of coefficients of the leading principal submatrix charpoly,
-    # highest power first
-    vec = np.array([1, (-a[0, 0]) % p], dtype=np.int64)
-    for i in range(1, n):
-        top = a[:i, :i]
-        row = a[i, :i]
-        col = a[:i, i]
-        # first column of the Toeplitz factor
-        first = [1, (-a[i, i]) % p]
-        w = col % p
-        for _ in range(i):
-            first.append((-(row @ w)) % p)
-            w = (top @ w) % p
-        toep = np.zeros((i + 2, i + 1), dtype=np.int64)
-        for r in range(i + 2):
-            for c in range(i + 1):
-                if 0 <= r - c < len(first):
-                    toep[r, c] = first[r - c]
-        vec = (toep @ vec) % p
-    return _poly_trim(list(vec[::-1]))
+
+def charpoly_mod_p(m: np.ndarray, p: int):
+    """Characteristic polynomial det(xI - m) over F_p: the product of the
+    invariant factors.  Returns ascending coefficients, monic."""
+    return _poly_product(invariant_factors_mod_p(m, p), p)
 
 
 def invariant_factors_mod_p(m: np.ndarray, p: int):
@@ -207,91 +188,44 @@ def _zip_pad(a, b):
     return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
 
 
-def _column_space_basis(m: np.ndarray, p: int) -> np.ndarray:
-    """Pivot columns of m as a basis matrix of its column space."""
-    a = np.array(m, dtype=np.int64) % p
-    rows, cols = a.shape
-    work = a.copy()
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(work[r:, c])
-        if nz.size == 0:
-            continue
-        pr = r + nz[0]
-        work[[r, pr]] = work[[pr, r]]
-        work[r] = (work[r] * _inv_mod(work[r, c], p)) % p
-        other = np.flatnonzero(work[:, c])
-        other = other[other != r]
-        work[other] = (work[other] - np.outer(work[other, c], work[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:, pivots]
+def _eventual_restriction(m: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of m on its eventual image.
 
-
-def shift_class(m: np.ndarray, p: int):
-    """Characteristic polynomial of m restricted to its eventual image.
-
-    Finds the smallest k with rank(m^k) = rank(m^{k+1}); on the column
-    space of m^k the map is invertible and its characteristic polynomial
-    is the shift-class label.  Returns ascending coefficients, or None
-    when the eventual image is trivial (nilpotent m).
+    Finds the smallest k with rank(m^k) = rank(m^{k+1}); the pivot
+    columns of m^k are a basis of the eventual image, on which m is
+    invertible.  The basis has full column rank, so one elimination of
+    [basis | m basis] leaves the restricted matrix beside an identity.
     """
     a = np.array(m, dtype=np.int64) % p
-    n = a.shape[0]
-    if n == 0:
-        return None
-    power = np.eye(n, dtype=np.int64)
-    prev_rank = n
-    for _ in range(n + 1):
+    power = np.eye(a.shape[0], dtype=np.int64)
+    pivots = list(range(a.shape[0]))
+    while True:
         nxt = (a @ power) % p
-        rk = rank_mod_p(nxt, p)
-        if rk == prev_rank:
+        _, nxt_pivots = _row_reduce(nxt, p)
+        if len(nxt_pivots) == len(pivots):
             break
-        power = nxt
-        prev_rank = rk
-    if prev_rank == 0:
-        return None
-    basis = _column_space_basis(power, p)
-    small = _restrict(a, basis, p)
-    return charpoly_mod_p(small, p)
-
-
-def _restrict(a: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of a on the invariant subspace spanned by basis columns."""
-    r = basis.shape[1]
-    out = np.zeros((r, r), dtype=np.int64)
-    img = (a @ basis) % p
-    for j in range(r):
-        x = solve_mod_p(basis, img[:, j], p)
-        if x is None:
-            raise BoxdynError("subspace is not invariant under the matrix")
-        out[:, j] = x % p
-    return out
+        power, pivots = nxt, nxt_pivots
+    basis = power[:, pivots]
+    r = len(pivots)
+    rref, piv = _row_reduce(np.hstack([basis, (a @ basis) % p]), p)
+    if piv != list(range(r)):
+        raise BoxdynError("eventual image is not invariant under the matrix")
+    return rref[:r, r:]
 
 
 def shift_invariant_factors(m: np.ndarray, p: int):
-    """Invariant factors of the eventual-image restriction (internal
-    exact representative of the shift class)."""
-    a = np.array(m, dtype=np.int64) % p
-    n = a.shape[0]
-    if n == 0:
-        return []
-    power = np.eye(n, dtype=np.int64)
-    prev_rank = n
-    for _ in range(n + 1):
-        nxt = (a @ power) % p
-        rk = rank_mod_p(nxt, p)
-        if rk == prev_rank:
-            break
-        power = nxt
-        prev_rank = rk
-    if prev_rank == 0:
-        return []
-    basis = _column_space_basis(power, p)
-    return invariant_factors_mod_p(_restrict(a, basis, p), p)
+    """Invariant factors of the eventual-image restriction: the exact
+    representative of the shift class."""
+    return invariant_factors_mod_p(_eventual_restriction(m, p), p)
+
+
+def shift_class(m: np.ndarray, p: int):
+    """Characteristic polynomial of m restricted to its eventual image,
+    the product of its invariant factors.  Returns ascending
+    coefficients, or None when the eventual image is trivial (nilpotent m).
+    """
+    factors = shift_invariant_factors(m, p)
+    return _poly_product(factors, p) if factors else None
 
 
 @dataclass(frozen=True)

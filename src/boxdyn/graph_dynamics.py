@@ -34,6 +34,7 @@ class Condensation:
         self.recurrent = recurrent  # sorted array of recurrent component ids
         self._recurrent_set = set(int(c) for c in recurrent)
         self._dag_edges = None
+        self._downsets = {}  # recurrent component id -> downset (read-only)
 
     def component_of(self, box: int) -> int:
         return int(self.comp_of[int(box)])
@@ -82,13 +83,20 @@ def downset(boxmap: BoxMap, cond: Condensation, cid: int) -> np.ndarray:
     """All boxes reachable from the component's region, region included.
 
     The search starts from the box cid alone: the region is strongly
-    connected, so every other member is reached from it.
+    connected, so every other member is reached from it.  boxmap is the
+    map cond was computed from; the result is memoized on cond, so the
+    Morse graph and the index pairs share one search per component.
     """
     if not cond.is_recurrent(cid):
         raise NodeNotRecurrent(f"component {cid} is not recurrent")
-    reach = breadth_first_order(boxmap.adjacency(), int(cid), directed=True,
-                                return_predecessors=False)
-    return np.sort(reach).astype(np.int64)
+    ds = cond._downsets.get(int(cid))
+    if ds is None:
+        reach = breadth_first_order(boxmap.adjacency(), int(cid),
+                                    directed=True, return_predecessors=False)
+        ds = np.sort(reach).astype(np.int64)
+        ds.flags.writeable = False  # shared by every caller
+        cond._downsets[int(cid)] = ds
+    return ds
 
 
 class IndexPairC:

@@ -226,14 +226,3 @@ class CubicalGrid:
     def __repr__(self):
         return f"CubicalGrid({self.space!r}, depths={self.subdivisions})"
 
-
-def grid_diameter(grid: CubicalGrid) -> float:
-    return grid.diameter()
-
-
-def box_containing(grid: CubicalGrid, point):
-    return grid.box_containing(point)
-
-
-def boxes_intersecting(grid: CubicalGrid, r: Rect):
-    return grid.boxes_intersecting(r)

@@ -86,18 +86,21 @@ def box_cells(j):
 
 
 # ---------------------------------------------------------------------------
-# mod-p helpers (dense, for small index matrices and test oracles)
+# F_p helpers: dense elimination (index matrices, test oracles) and
+# the sparse chain update
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
+def _row_reduce(mat: np.ndarray, p: int):
+    """Gauss-Jordan elimination over F_p: (reduced row echelon form,
+    pivot columns in increasing order)."""
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
         piv = np.flatnonzero(a[r:, c])
@@ -109,38 +112,37 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
         nz = np.flatnonzero(a[:, c])
         nz = nz[nz != r]
         a[nz] = (a[nz] - np.outer(a[nz, c], a[r])) % p
-        r += 1
-    return r
+        pivots.append(c)
+    return a, pivots
+
+
+def rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    return len(_row_reduce(mat, p)[1])
 
 
 def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
     """One solution of mat @ x = rhs over F_p, or None if inconsistent."""
-    a = np.array(mat, dtype=np.int64) % p
-    b = np.array(rhs, dtype=np.int64).reshape(-1) % p
-    rows, cols = a.shape
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = np.flatnonzero(aug[r:, c])
-        if piv.size == 0:
-            continue
-        pr = r + piv[0]
-        aug[[r, pr]] = aug[[pr, r]]
-        aug[r] = (aug[r] * _inv_mod(aug[r, c], p)) % p
-        nz = np.flatnonzero(aug[:, c])
-        nz = nz[nz != r]
-        aug[nz] = (aug[nz] - np.outer(aug[nz, c], aug[r])) % p
-        pivots.append(c)
-        r += 1
-    if np.any(aug[r:, cols]):
-        return None
+    a = np.asarray(mat, dtype=np.int64)
+    cols = a.shape[1]
+    aug = np.hstack([a, np.asarray(rhs, dtype=np.int64).reshape(-1, 1)])
+    rref, pivots = _row_reduce(aug, p)
+    if pivots and pivots[-1] == cols:
+        return None  # a pivot in the rhs column reads 0 = 1
     x = np.zeros(cols, dtype=np.int64)
-    for k, c in enumerate(pivots):
-        x[c] = aug[k, cols]
+    x[pivots] = rref[:len(pivots), cols]
     return x
+
+
+def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
+    """dst += coef * src over F_p for sparse chains, in place; entries
+    that become zero are dropped."""
+    for key, v in src.items():
+        nv = (dst.get(key, 0) + coef * v) % p
+        if nv:
+            dst[key] = nv
+        else:
+            dst.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,8 @@ class PairComplex:
     Only cells carrying relative chains are stored: those with a coface
     box in region = P1 \\ P0 and no coface box in P0.  Every coface in P1
     of such a cell is a region box, so the complex is small whenever the
-    region is, regardless of how large P1 is.
+    region is, regardless of how large P1 is.  closure keeps every face
+    of a region box, in reduction order; the chain map is built on it.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
@@ -167,20 +170,19 @@ class PairComplex:
         self.region = self.p1 - self.p0
         shape = grid.shape
 
-        candidates = set()
-        for lin in sorted(self.region):
-            j = grid.multi_index(lin)
-            candidates.update(box_cells(j))
+        closure = set()
+        for lin in self.region:
+            closure.update(box_cells(grid.multi_index(lin)))
+        # reduction order: dimension, then lexicographic
+        self.closure = sorted(closure, key=lambda c: (cell_dim(c), c[0], c[1]))
         cells = []
-        for cell in candidates:
+        for cell in self.closure:
             cofaces = cell_coface_boxes(cell, shape)
             lins = [grid.linearize(c) for c in cofaces]
             if any(l in self.p0 for l in lins):
                 continue
             if any(l in self.region for l in lins):
                 cells.append(cell)
-        # reduction order: dimension, then lexicographic
-        cells.sort(key=lambda c: (cell_dim(c), c[0], c[1]))
         self.cells = cells
         self.cell_index = {c: i for i, c in enumerate(cells)}
         self.dims = np.array([cell_dim(c) for c in cells], dtype=np.int64)
@@ -190,9 +192,6 @@ class PairComplex:
 
     def n_cells(self, dim: int) -> int:
         return int(np.count_nonzero(self.dims == dim))
-
-    def contains(self, cell) -> bool:
-        return cell in self.cell_index
 
     def boundary_chain(self, cell) -> dict:
         """Boundary within the quotient: faces outside the complex vanish."""
@@ -213,18 +212,6 @@ class PairComplex:
             for face, v in self.boundary_chain(cell).items():
                 mat[ridx[face], jc] = v
         return mat
-
-    def dump_boundary_triplets(self) -> str:
-        """Sparse triplet text dump of all boundary entries (debugging)."""
-        lines = ["# row_cell_index col_cell_index value"]
-        for j, cell in enumerate(self.cells):
-            for face, v in self.boundary_chain(cell).items():
-                lines.append(f"{self.cell_index[face]} {j} {v}")
-        return "\n".join(lines) + "\n"
-
-
-def build_pair_complex(grid: CubicalGrid, p1, p0, prime: int = 5) -> PairComplex:
-    return PairComplex(grid, p1, p0, prime)
 
 
 class HomologyBasis:
@@ -256,18 +243,8 @@ class HomologyBasis:
                 if k is None:
                     break
                 coef = (rj[low] * _inv_mod(R[k][low], p)) % p
-                for r, v in R[k].items():
-                    nv = (rj.get(r, 0) - coef * v) % p
-                    if nv:
-                        rj[r] = nv
-                    else:
-                        rj.pop(r, None)
-                for r, v in V[k].items():
-                    nv = (vj.get(r, 0) - coef * v) % p
-                    if nv:
-                        vj[r] = nv
-                    else:
-                        vj.pop(r, None)
+                _axpy(rj, R[k], -coef, p)
+                _axpy(vj, V[k], -coef, p)
             R.append(rj)
             V.append(vj)
             if rj:
@@ -277,8 +254,6 @@ class HomologyBasis:
         self._V = V
         self._pivot_of = pivot_of
         essential = [j for j in range(n) if not R[j] and j not in pivot_of]
-        self._essential = essential
-        self._essential_pos = {j: i for i, j in enumerate(essential)}
         self._by_dim = {}
         for j in essential:
             self._by_dim.setdefault(int(complex.dims[j]), []).append(j)
@@ -320,20 +295,11 @@ class HomologyBasis:
                 src = self._V[low]
             else:
                 raise BoxdynError("chain is not a relative cycle")
-            for r, v in src.items():
-                nv = (vec.get(r, 0) - coef * v) % p
-                if nv:
-                    vec[r] = nv
-                else:
-                    vec.pop(r, None)
+            _axpy(vec, src, -coef, p)
         return coords
 
     def betti_numbers(self, max_dim: int):
         return [self.rank(k) for k in range(max_dim + 1)]
-
-
-def relative_homology(complex: PairComplex) -> HomologyBasis:
-    return HomologyBasis(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +378,8 @@ class ChainMapData:
         p = self.complex.prime
         out = {}
         for cell, coef in chain.items():
-            for c2, v in self.phi[cell].items():
-                nv = (out.get(c2, 0) + coef * v) % p
-                if nv:
-                    out[c2] = nv
-                else:
-                    out.pop(c2, None)
+            _axpy(out, self.phi[cell], coef, p)
         return out
-
-    def dump_triplets(self) -> str:
-        idx = self.complex.cell_index
-        lines = ["# domain_cell_index image_cell_index value"]
-        for cell in self.complex.cells:
-            for c2, v in self.phi[cell].items():
-                lines.append(f"{idx[cell]} {idx[c2]} {v}")
-        return "\n".join(lines) + "\n"
 
 
 def chain_map(boxmap: BoxMap, complex: PairComplex,
@@ -454,14 +407,9 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
                     "or refine the grid"
                 )
 
-    # full-complex construction domain: closure of the region boxes
-    domain = set()
-    for lin in complex.region:
-        domain.update(box_cells(grid.multi_index(lin)))
-    cells = sorted(domain, key=lambda c: (cell_dim(c), c[0], c[1]))
-
+    # built on the closure of the region, faces before their cofaces
     phi_full = {}
-    for cell in cells:
+    for cell in complex.closure:
         rect = _carrier_rect(boxmap, complex, cell)
         if rect is None:
             raise CarrierNotAcyclic(cell, "carrier is empty")
@@ -472,12 +420,7 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
         else:
             rhs = {}
             for face, sign in cell_faces(cell):
-                for c2, v in phi_full[face].items():
-                    nv = (rhs.get(c2, 0) + sign * v) % p
-                    if nv:
-                        rhs[c2] = nv
-                    else:
-                        rhs.pop(c2, None)
+                _axpy(rhs, phi_full[face], sign, p)
             phi_full[cell] = _contract(rhs, lo, p)
 
     # project to the quotient
@@ -499,22 +442,11 @@ def _assert_chain_map(cm: ChainMapData):
             continue
         lhs = {}
         for c2, v in cm.phi[cell].items():
-            for face, fv in complex.boundary_chain(c2).items():
-                nv = (lhs.get(face, 0) + v * fv) % p
-                if nv:
-                    lhs[face] = nv
-                else:
-                    lhs.pop(face, None)
+            _axpy(lhs, complex.boundary_chain(c2), v, p)
         rhs = {}
         for face, sign in cell_faces(cell):
-            if face not in complex.cell_index:
-                continue
-            for c2, v in cm.phi[face].items():
-                nv = (rhs.get(c2, 0) + sign * v) % p
-                if nv:
-                    rhs[c2] = nv
-                else:
-                    rhs.pop(c2, None)
+            if face in complex.cell_index:
+                _axpy(rhs, cm.phi[face], sign, p)
         if lhs != rhs:
             raise BoxdynError(f"chain map does not commute with boundary at {cell}")
 

@@ -221,6 +221,16 @@ class TestAnalyzeCommand:
         doc = json.loads((tmp_path / "o" / "morse_graph.json").read_text())
         assert len(doc["nodes"]) == 1
 
+    def test_spaced_domain_with_negative_lower_bound(self, tmp_path):
+        """"--domain -1:1" is the flag's value, not an unknown option."""
+        rc = main(["analyze", "--domain", "-1:1", "--depth", "6",
+                   "--rho", "0.01", "--oracle", "piecewise1d:0.5",
+                   "--no-cache", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["config"]["lower"] == [-1.0]
+        assert manifest["config"]["upper"] == [1.0]
+
 
 class TestCompareCommand:
     def test_emits_nu_report(self, tmp_path):

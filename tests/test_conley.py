@@ -41,8 +41,8 @@ class TestCharpoly:
         assert charpoly_mod_p(np.zeros((2, 2), dtype=int), P) == (0, 0, 1)
 
     def test_matches_integer_charpoly(self, rng):
-        """Berkowitz mod p agrees with numpy's eigen-free integer
-        expansion via permanent-style brute force on small matrices."""
+        """charpoly mod p, the product of the invariant factors, agrees
+        with the Leibniz expansion of det(xI - m) on small matrices."""
         import itertools
         for _ in range(200):
             n = int(rng.integers(1, 5))
@@ -139,16 +139,6 @@ class TestInvariantFactors:
         assert list(invariant_factors_mod_p(eye, P)) == [(4, 1), (4, 1)]
         swap = np.array([[0, 1], [1, 0]])
         assert list(invariant_factors_mod_p(swap, P)) == [(4, 0, 1)]
-
-    def test_product_is_charpoly(self, rng):
-        from boxdyn.conley import _poly_mul
-        for _ in range(100):
-            n = int(rng.integers(1, 5))
-            m = rng.integers(0, P, size=(n, n)).astype(np.int64)
-            prod = (1,)
-            for f in invariant_factors_mod_p(m, P):
-                prod = tuple(_poly_mul(list(prod), list(f), P))
-            assert prod == charpoly_mod_p(m, P)
 
     def test_divisibility_chain(self, rng):
         from boxdyn.conley import _poly_divmod

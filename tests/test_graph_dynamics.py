@@ -17,6 +17,7 @@ from boxdyn import (
     morse_graph,
     verify_attracting_block,
 )
+from boxdyn import graph_dynamics
 from boxdyn.graph_dynamics import morse_graph_from_jsonable
 
 from conftest import brute_sccs, digraph_boxmap, reachability_closure
@@ -181,6 +182,27 @@ class TestDownsetAndIndexPair:
         )
         assert set(pair.p0.tolist()) == set(below.tolist())
         assert verify_attracting_block(bm, pair.p0)
+
+    def test_index_pair_reuses_the_morse_graph_search(self, monkeypatch):
+        """morse_graph runs one breadth-first search per node; the index
+        pairs after it reuse those downsets instead of searching again."""
+        grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [7])
+        bm = build_boxmap(grid, PiecewiseExample1D(1.5), 1e-3)
+        cond = condensation(bm)
+        starts = []
+        search = graph_dynamics.breadth_first_order
+
+        def counted(graph, start, **kw):
+            starts.append(start)
+            return search(graph, start, **kw)
+
+        monkeypatch.setattr(graph_dynamics, "breadth_first_order", counted)
+        mg = morse_graph(cond)
+        assert sorted(starts) == mg.component_ids
+        for q, cid in enumerate(mg.component_ids):
+            pair = index_pair(bm, cond, cid)
+            assert set(pair.p1.tolist()) <= set(mg.downset_of(q).tolist())
+        assert len(starts) == len(mg.nodes)
 
     def test_downset_is_minimal_forward_invariant_superset(self):
         bm = self.bm()

@@ -8,9 +8,6 @@ from boxdyn import (
     PhaseSpace,
     PointOutsideDomain,
     Rect,
-    box_containing,
-    boxes_intersecting,
-    grid_diameter,
 )
 
 
@@ -20,25 +17,25 @@ def grid1d(lo=0.0, hi=1.0, depth=1):
 
 class TestBoxContaining:
     def test_left_half(self):
-        assert box_containing(grid1d(depth=1), [0.25]) == (0,)
+        assert grid1d(depth=1).box_containing([0.25]) == (0,)
 
     def test_boundary_tie_breaks_to_smaller_index(self):
-        assert box_containing(grid1d(depth=1), [0.5]) == (0,)
+        assert grid1d(depth=1).box_containing([0.5]) == (0,)
 
     def test_leslie_domain_example(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [9, 9])
-        assert box_containing(grid, [10.0, 0.0]) == (56, 0)
+        assert grid.box_containing([10.0, 0.0]) == (56, 0)
 
     def test_domain_corners(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
-        assert box_containing(grid, [0.0, 0.0]) == (0, 0)
-        assert box_containing(grid, [1.0, 1.0]) == (3, 3)
+        assert grid.box_containing([0.0, 0.0]) == (0, 0)
+        assert grid.box_containing([1.0, 1.0]) == (3, 3)
 
     def test_outside_domain_raises(self):
         with pytest.raises(PointOutsideDomain):
-            box_containing(grid1d(), [1.5])
+            grid1d().box_containing([1.5])
         with pytest.raises(PointOutsideDomain):
-            box_containing(grid1d(), [-0.1])
+            grid1d().box_containing([-0.1])
 
     def test_random_points_are_contained(self, rng):
         grid = CubicalGrid(PhaseSpace([-1.0, 2.0], [3.0, 5.0]), [3, 4])
@@ -52,58 +49,58 @@ class TestBoxContaining:
     def test_face_points_resolve_lex_smallest(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
         # interior cross point shared by four boxes
-        assert box_containing(grid, [0.5, 0.5]) == (1, 1)
+        assert grid.box_containing([0.5, 0.5]) == (1, 1)
 
 
 class TestBoxesIntersecting:
     def test_single_box_realization_touches_neighbors(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
         r = grid.box_rect((1, 1))
-        got = boxes_intersecting(grid, r)
+        got = grid.boxes_intersecting(r)
         want = [(i, j) for i in (0, 1, 2) for j in (0, 1, 2)]
         assert got == want
 
     def test_interval_example(self):
         grid = grid1d(depth=2)
-        assert boxes_intersecting(grid, Rect([0.3], [0.6])) == [(1,), (2,)]
+        assert grid.boxes_intersecting(Rect([0.3], [0.6])) == [(1,), (2,)]
 
     def test_rect_left_of_domain_is_empty(self):
-        assert boxes_intersecting(grid1d(), Rect([-2.0], [-1.0])) == []
+        assert grid1d().boxes_intersecting(Rect([-2.0], [-1.0])) == []
 
     def test_rect_clipped_to_domain(self):
         grid = grid1d(depth=2)
-        got = boxes_intersecting(grid, Rect([0.9], [7.0]))
+        got = grid.boxes_intersecting(Rect([0.9], [7.0]))
         assert got == [(3,)]
 
     def test_contains_own_box(self, rng):
         grid = CubicalGrid(PhaseSpace([0.0, -1.0], [2.0, 1.0]), [3, 2])
         for _ in range(100):
             b = tuple(int(rng.integers(0, s)) for s in grid.shape)
-            assert b in boxes_intersecting(grid, grid.box_rect(b))
+            assert b in grid.boxes_intersecting(grid.box_rect(b))
 
     def test_sorted_and_unique(self, rng):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 3])
         for _ in range(100):
             a = rng.random(2) * 1.4 - 0.2
             b = a + rng.random(2) * 0.5
-            got = boxes_intersecting(grid, Rect(a, b))
+            got = grid.boxes_intersecting(Rect(a, b))
             assert got == sorted(set(got))
 
 
 class TestGeometry:
     def test_diameter_unit_square(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [0, 0])
-        assert grid_diameter(grid) == pytest.approx(math.sqrt(2.0))
+        assert grid.diameter() == pytest.approx(math.sqrt(2.0))
 
     def test_diameter_leslie_grid(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [9, 9])
         want = math.hypot(90 / 512, 70 / 512)
-        assert grid_diameter(grid) == pytest.approx(want)
-        assert abs(grid_diameter(grid) - 0.2227) < 5e-4
+        assert grid.diameter() == pytest.approx(want)
+        assert abs(grid.diameter() - 0.2227) < 5e-4
 
     def test_diameter_interval_depth10(self):
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [10])
-        assert grid_diameter(grid) == 4.0 / 1024
+        assert grid.diameter() == 4.0 / 1024
 
     def test_volume_sum_equals_domain(self):
         grid = CubicalGrid(PhaseSpace([0.0, -3.0], [2.0, 4.0]), [3, 2])

@@ -4,20 +4,21 @@ import pytest
 from boxdyn import (
     CallableOracle,
     CubicalGrid,
+    HomologyBasis,
+    PairComplex,
     PhaseSpace,
     PiecewiseExample1D,
     build_boxmap,
-    build_pair_complex,
     carrier,
     chain_map,
     condensation,
     index_pair,
     induced_homology_map,
-    relative_homology,
+    rank_mod_p,
+    solve_mod_p,
 )
 from boxdyn.errors import BoxdynError
 from boxdyn.homology import (
-    PairComplex,
     _contract,
     box_cells,
     cell_dim,
@@ -56,44 +57,70 @@ class TestCells:
             assert all(v == 0 for v in acc.values())
 
 
+class TestElimination:
+    def test_solve_is_none_exactly_when_inconsistent(self, rng):
+        """Random A (low rank included) and b over F_5, empty shapes too:
+        solve_mod_p is None iff rank([A | b]) > rank(A), and otherwise
+        returns an exact solution."""
+        p = 5
+        outcomes = set()
+        for _ in range(300):
+            rows, cols, k = (int(v) for v in rng.integers(0, 5, size=3))
+            a = (rng.integers(0, p, size=(rows, k))
+                 @ rng.integers(0, p, size=(k, cols))) % p
+            b = rng.integers(0, p, size=rows)
+            x = solve_mod_p(a, b, p)
+            consistent = (rank_mod_p(np.column_stack([a, b]), p)
+                          == rank_mod_p(a, p))
+            assert (x is not None) == consistent
+            if consistent:
+                assert x.shape == (cols,)
+                assert np.array_equal(a @ x % p, b)
+            outcomes.add((x is None, rows == 0, cols == 0))
+        assert (True, False, True) in outcomes  # nonzero b, no columns
+        assert (False, True, False) in outcomes  # no rows
+        assert (True, False, False) in outcomes and \
+            (False, False, False) in outcomes
+
+
 class TestPairComplex:
     def test_full_grid_contractible(self):
         g = grid2d()
-        cx = build_pair_complex(g, range(g.box_count), set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, range(g.box_count), set())
+        basis = HomologyBasis(cx)
         assert basis.betti_numbers(2) == [1, 0, 0]
 
     def test_interval_pair_example(self):
         # [-2,2] rel [-2,0.25] u [1.25,2] at width 0.25: H_0 = 0, H_1 = F
         g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [4])
         p0 = list(range(0, 9)) + list(range(13, 16))
-        cx = build_pair_complex(g, range(16), p0)
-        basis = relative_homology(cx)
+        cx = PairComplex(g, range(16), p0)
+        basis = HomologyBasis(cx)
         assert basis.betti_numbers(1) == [0, 1]
 
     def test_attracting_interval_absolute(self):
         # ([-2, 0.25], {}) has the homology of a point
         g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [4])
-        cx = build_pair_complex(g, range(0, 9), set())
-        assert relative_homology(cx).betti_numbers(1) == [1, 0]
+        cx = PairComplex(g, range(0, 9), set())
+        assert HomologyBasis(cx).betti_numbers(1) == [1, 0]
 
     def test_p1_equals_p0_trivial(self):
         g = grid2d()
         boxes = set(range(g.box_count))
-        cx = build_pair_complex(g, boxes, boxes)
-        assert relative_homology(cx).betti_numbers(2) == [0, 0, 0]
+        cx = PairComplex(g, boxes, boxes)
+        assert HomologyBasis(cx).betti_numbers(2) == [0, 0, 0]
 
     def test_empty_p1(self):
         g = grid2d()
-        cx = build_pair_complex(g, set(), set())
-        assert relative_homology(cx).betti_numbers(2) == [0, 0, 0]
+        cx = PairComplex(g, set(), set())
+        assert HomologyBasis(cx).betti_numbers(2) == [0, 0, 0]
 
     def test_annulus_ring(self):
         g = grid2d(2, 2)  # 4x4 boxes; ring = all but the 2x2 middle... use 4x4 minus center 2x2
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
                 if not (1 <= i <= 2 and 1 <= j <= 2)]
-        cx = build_pair_complex(g, ring, set())
-        assert relative_homology(cx).betti_numbers(2) == [1, 1, 0]
+        cx = PairComplex(g, ring, set())
+        assert HomologyBasis(cx).betti_numbers(2) == [1, 1, 0]
 
     def test_boundary_squared_zero_on_built_complexes(self, rng):
         for _ in range(30):
@@ -103,7 +130,7 @@ class TestPairComplex:
                                            replace=False)
             )
             p0 = set(int(b) for b in boxes if rng.random() < 0.3)
-            cx = build_pair_complex(g, boxes, p0)
+            cx = PairComplex(g, boxes, p0)
             for dim in range(1, 3):
                 d1 = cx.boundary_matrix(dim)
                 d2 = cx.boundary_matrix(dim + 1)
@@ -118,17 +145,17 @@ class TestPairComplex:
                                            replace=False)
             )
             p0 = set(int(b) for b in boxes if rng.random() < 0.35)
-            cx = build_pair_complex(g, boxes, p0)
+            cx = PairComplex(g, boxes, p0)
             assert len(cx) <= 200
-            basis = relative_homology(cx)
+            basis = HomologyBasis(cx)
             assert basis.betti_numbers(2) == brute_betti(cx, 2)
 
     def test_representatives_are_cycles(self, rng):
         g = grid2d(2, 2)
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
                 if not (1 <= i <= 2 and 1 <= j <= 2)]
-        cx = build_pair_complex(g, ring, set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, ring, set())
+        basis = HomologyBasis(cx)
         for dim in range(3):
             for rep in basis.representatives(dim):
                 acc = {}
@@ -141,8 +168,8 @@ class TestPairComplex:
         g = grid2d(2, 2)
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
                 if not (1 <= i <= 2 and 1 <= j <= 2)]
-        cx = build_pair_complex(g, ring, set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, ring, set())
+        basis = HomologyBasis(cx)
         two_cell = next(c for c in cx.cells if cell_dim(c) == 2)
         coords = basis.project(cx.boundary_chain(two_cell), 1)
         assert not coords.any()
@@ -183,21 +210,21 @@ def identity_map(depth=3):
 class TestCarrier:
     def test_top_cell_carrier_is_target_list(self):
         bm, g = identity_map()
-        cx = build_pair_complex(g, range(g.box_count), set())
+        cx = PairComplex(g, range(g.box_count), set())
         cell = ((3,), 1)  # the box [3/8, 4/8]
         got = carrier(bm, cx, cell)
         assert got.tolist() == bm.targets(3).tolist()
 
     def test_vertex_carrier_unions_both_cofaces(self):
         bm, g = identity_map()
-        cx = build_pair_complex(g, range(g.box_count), set())
+        cx = PairComplex(g, range(g.box_count), set())
         cell = ((3,), 0)  # vertex shared by boxes 2 and 3
         want = sorted(set(bm.targets(2)) | set(bm.targets(3)))
         assert carrier(bm, cx, cell).tolist() == want
 
     def test_identity_carriers_contain_own_cell_boxes(self):
         bm, g = identity_map()
-        cx = build_pair_complex(g, range(g.box_count), set())
+        cx = PairComplex(g, range(g.box_count), set())
         for cell in cx.cells:
             car = set(carrier(bm, cx, cell).tolist())
             from boxdyn.homology import cell_coface_boxes
@@ -209,8 +236,8 @@ class TestChainMap:
     def test_constant_oracle_h0_identity(self):
         g = grid1d(3)
         bm = build_boxmap(g, CallableOracle(lambda x: np.array([0.4]), 0.0, 1), 0.0)
-        cx = build_pair_complex(g, range(g.box_count), set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, range(g.box_count), set())
+        basis = HomologyBasis(cx)
         cm = chain_map(bm, cx)
         mats = induced_homology_map(cm, basis)
         assert mats[0].shape == (1, 1) and mats[0][0, 0] == 1
@@ -218,16 +245,16 @@ class TestChainMap:
 
     def test_identity_oracle_h0_identity(self):
         bm, g = identity_map()
-        cx = build_pair_complex(g, range(g.box_count), set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, range(g.box_count), set())
+        basis = HomologyBasis(cx)
         mats = induced_homology_map(chain_map(bm, cx), basis)
         assert mats[0].shape == (1, 1) and mats[0][0, 0] == 1
 
     def test_identity_oracle_2d_h0_identity(self):
         g = grid2d(2, 2)
         bm = build_boxmap(g, CallableOracle(lambda x: x, 1.0, 2), 0.0)
-        cx = build_pair_complex(g, range(g.box_count), set())
-        basis = relative_homology(cx)
+        cx = PairComplex(g, range(g.box_count), set())
+        basis = HomologyBasis(cx)
         mats = induced_homology_map(chain_map(bm, cx), basis)
         assert mats[0].shape == (1, 1) and mats[0][0, 0] == 1
 
@@ -240,8 +267,8 @@ class TestChainMap:
         cid = cond.component_of(top_box)
         assert cond.is_recurrent(cid)
         pair = index_pair(bm, cond, cid)
-        cx = build_pair_complex(g, pair.p1, pair.p0)
-        basis = relative_homology(cx)
+        cx = PairComplex(g, pair.p1, pair.p0)
+        basis = HomologyBasis(cx)
         assert basis.betti_numbers(1) == [0, 1]
         mats = induced_homology_map(chain_map(bm, cx), basis)
         assert mats[1].shape == (1, 1) and mats[1][0, 0] == 1
@@ -255,7 +282,7 @@ class TestChainMap:
             boxes = set(int(b) for b in rng.choice(16, size=10, replace=False))
             cond = condensation(bm)
             # use the full complex: P1 = all boxes (forward invariant)
-            cx = build_pair_complex(g, range(16), set())
+            cx = PairComplex(g, range(16), set())
             cm = chain_map(bm, cx)
             for cell in cx.cells:
                 lhs = {}
@@ -269,7 +296,7 @@ class TestChainMap:
 
     def test_phi_supported_in_declared_carrier(self):
         bm, g = identity_map()
-        cx = build_pair_complex(g, range(g.box_count), set())
+        cx = PairComplex(g, range(g.box_count), set())
         cm = chain_map(bm, cx)
         from boxdyn.homology import cell_coface_boxes
         for cell in cx.cells:
@@ -292,8 +319,8 @@ class TestChainMap:
         top_box = g.linearize(g.box_containing([1.0]))
         cid = cond.component_of(top_box)
         pair = index_pair(bm, cond, cid)
-        cx = build_pair_complex(g, pair.p1, pair.p0)
-        basis = relative_homology(cx)
+        cx = PairComplex(g, pair.p1, pair.p0)
+        basis = HomologyBasis(cx)
         m1 = induced_homology_map(chain_map(bm, cx, vertex_rule="smallest"), basis)
         m2 = induced_homology_map(chain_map(bm, cx, vertex_rule="largest"), basis)
         from boxdyn.conley import charpoly_mod_p

@@ -279,8 +279,9 @@ def conley_index(boxmap: BoxMap, cond: Condensation, cid: int,
     polys = []
     factors = []
     for dim in range(boxmap.grid.dimension + 1):
-        polys.append(shift_class(mats[dim], prime))
-        factors.append(tuple(shift_invariant_factors(mats[dim], prime)))
+        fs = tuple(shift_invariant_factors(mats[dim], prime))
+        polys.append(_poly_product(fs, prime) if fs else None)
+        factors.append(fs)
     return ConleyIndex(prime=prime, polys=tuple(polys),
                        invariant_factors=tuple(factors))
 

@@ -4,15 +4,30 @@ Cells of the grid's cubical complex are keyed by (anchor, mask): the
 anchor is a vertex-lattice multi-index and the mask a bitset of the axes
 along which the cell extends.  The relative complex of a pair of box
 sets (P1, P0) is realized as the quotient: a cell survives iff it has at
-least one coface box in P1 \\ P0 and none in P0.
+least one coface box in P1 \\ P0 and none in P0.  PairComplex builds it
+in a few numpy passes over flat integer codes (dimension, then the
+anchor's vertex-lattice index, then the mask), whose sorted order is the
+reduction order.
+
+Homology comes from a column reduction R = D V that runs from the top
+dimension down with clearing (Chen and Kerber, Persistent homology
+computation with a twist, 2011): a column whose index is the pivot row
+of a column one dimension up is a cycle, so it is set to zero without
+being reduced.  Columns reduce only against columns of their own
+dimension, so every other column, the essential cells and the
+representatives are those of a plain left-to-right reduction.
 
 The index map on homology is built as an acyclic-carrier chain map.
 The carrier used for construction assigns to each cell the intersection
 of the target ranges of its cofaces in P1.  A box map stores rectangle
-target ranges, so this carrier is itself a box rectangle; it is
-contained in the union carrier, shrinks as cells grow (so faces have
-larger carriers), and on it the equation del(c) = phi(del(sigma)) is
-solved in closed form by a chain contraction instead of linear algebra.
+target ranges, so this carrier is itself a box rectangle, contained in
+the union carrier.  A face has every coface box of its cell and more,
+so faces have smaller carriers: phi(del(sigma)) lies in sigma's
+rectangle, where del(c) = phi(del(sigma)) is solved in closed form by a
+chain contraction instead of linear algebra.  phi is evaluated on
+demand, from the faces up, only on the cells the index reads (the
+homology representatives and their faces), and del(phi) = phi(del) is
+checked on every cell whose phi is computed.
 """
 
 from __future__ import annotations
@@ -68,20 +83,6 @@ def cell_coface_boxes(cell, shape):
                 ok = False
         if ok:
             out.append(tuple(j))
-    return out
-
-
-def box_cells(j):
-    """All 3^d faces (incl. the box itself) of the box at multi-index j."""
-    d = len(j)
-    out = []
-    for mask in range(1 << d):
-        free = [i for i in range(d) if not (mask >> i) & 1]
-        for choice in itertools.product((0, 1), repeat=len(free)):
-            anchor = list(j)
-            for i, c in zip(free, choice):
-                anchor[i] = j[i] + c
-            out.append((tuple(anchor), mask))
     return out
 
 
@@ -148,14 +149,30 @@ def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _box_mask(grid: CubicalGrid, boxes) -> np.ndarray:
+    """Membership of linear box indices; the extra last slot stays False
+    and answers for the index -1."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = list(boxes)
+    mask = np.zeros(grid.box_count + 1, dtype=bool)
+    mask[np.asarray(boxes, dtype=np.int64)] = True
+    return mask
+
+
 class PairComplex:
     """Relative (quotient) cubical complex of a box-set pair on a grid.
 
     Only cells carrying relative chains are stored: those with a coface
     box in region = P1 \\ P0 and no coface box in P0.  Every coface in P1
     of such a cell is a region box, so the complex is small whenever the
-    region is, regardless of how large P1 is.  closure keeps every face
-    of a region box, in reduction order; the chain map is built on it.
+    region is, regardless of how large P1 is.
+
+    closure holds the code of every face of a region box, in reduction
+    order; a code is (dim * n_vertices + anchor) * 2^d + mask, with the
+    anchor's linear index on the vertex lattice.  cofaces[i] lists the
+    linear indices of closure cell i's coface boxes, -1 where a box is
+    absent (off the grid, or not a coface because the cell extends along
+    that axis); column k is the box anchor - bits(k).
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
@@ -163,29 +180,74 @@ class PairComplex:
             raise BoxdynError(f"field order must be prime, got {prime}")
         self.grid = grid
         self.prime = int(prime)
-        self.p1 = frozenset(int(b) for b in p1)
-        self.p0 = frozenset(int(b) for b in p0)
-        if not self.p0 <= self.p1:
+        self._in_p1 = _box_mask(grid, p1)
+        in_p0 = _box_mask(grid, p0)
+        if (in_p0 & ~self._in_p1).any():
             raise BoxdynError("P0 must be a subset of P1")
-        self.region = self.p1 - self.p0
-        shape = grid.shape
+        region = np.flatnonzero(self._in_p1 & ~in_p0)
+        self.p1 = frozenset(np.flatnonzero(self._in_p1).tolist())
+        self.p0 = frozenset(np.flatnonzero(in_p0).tolist())
+        self.region = frozenset(region.tolist())
 
-        closure = set()
-        for lin in self.region:
-            closure.update(box_cells(grid.multi_index(lin)))
-        # reduction order: dimension, then lexicographic
-        self.closure = sorted(closure, key=lambda c: (cell_dim(c), c[0], c[1]))
-        cells = []
-        for cell in self.closure:
-            cofaces = cell_coface_boxes(cell, shape)
-            lins = [grid.linearize(c) for c in cofaces]
-            if any(l in self.p0 for l in lins):
-                continue
-            if any(l in self.region for l in lins):
-                cells.append(cell)
-        self.cells = cells
-        self.cell_index = {c: i for i, c in enumerate(cells)}
-        self.dims = np.array([cell_dim(c) for c in cells], dtype=np.int64)
+        d = grid.dimension
+        shape = np.asarray(grid.shape, dtype=np.int64)
+        self._vshape = tuple(int(s) + 1 for s in shape)
+        self._vstrides = [int(np.prod(self._vshape[i + 1:])) for i in range(d)]
+        self._n_vertices = int(np.prod(self._vshape))
+        # bits[k, i] = bit i of k, for k < 2^d
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+        self._popcount = bits.sum(axis=1)
+
+        # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0
+        o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
+        box_j = np.stack(np.unravel_index(region, grid.shape), axis=1)
+        anchors = (box_j[:, None, :] + bits[o]).reshape(-1, d)
+        masks = np.tile(m, region.size)
+        lin = np.ravel_multi_index(tuple(anchors.T), self._vshape)
+        self.closure = np.unique(
+            ((self._popcount[masks] * self._n_vertices + lin) << d) + masks)
+
+        anchor, mask = self._decode(self.closure)
+        boxes = anchor[:, None, :] - bits  # (n, 2^d, d)
+        present = (((mask[:, None] & np.arange(1 << d)) == 0)
+                   & np.all((boxes >= 0) & (boxes < shape), axis=2))
+        strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(d)],
+                           dtype=np.int64)
+        self.cofaces = np.where(present, boxes @ strides, -1)
+
+        keep = (self._in_p1[self.cofaces].any(axis=1)
+                & ~in_p0[self.cofaces].any(axis=1))
+        self._rows = np.flatnonzero(keep)  # closure rows of the quotient
+        self._keys = self.closure[self._rows]
+        self.dims = self._popcount[mask[self._rows]]
+        self.cells = [(tuple(a), int(b)) for a, b in
+                      zip(anchor[self._rows].tolist(), mask[self._rows].tolist())]
+        self.cell_index = {c: i for i, c in enumerate(self.cells)}
+
+    def _decode(self, codes: np.ndarray):
+        """(anchors (n, d), masks (n,)) of an array of codes."""
+        d = self.grid.dimension
+        lin = (codes >> d) % self._n_vertices
+        anchors = np.stack(np.unravel_index(lin, self._vshape), axis=1)
+        return anchors, codes & ((1 << d) - 1)
+
+    def _code(self, cell) -> int:
+        anchor, mask = cell
+        lin = sum(a * s for a, s in zip(anchor, self._vstrides))
+        return ((cell_dim(cell) * self._n_vertices + lin) << len(anchor)) + mask
+
+    def _closure_row(self, cell) -> int:
+        """Row of a cell in closure (and cofaces)."""
+        code = self._code(cell)
+        row = int(np.searchsorted(self.closure, code))
+        if row == self.closure.size or self.closure[row] != code:
+            raise KeyError(cell)
+        return row
+
+    def _closure_cell(self, row: int):
+        """The (anchor, mask) cell at a closure row."""
+        anchor, mask = self._decode(self.closure[row:row + 1])
+        return tuple(anchor[0].tolist()), int(mask[0])
 
     def __len__(self):
         return len(self.cells)
@@ -202,6 +264,35 @@ class PairComplex:
                 out[face] = (out.get(face, 0) + sign) % p
         return {c: v for c, v in out.items() if v}
 
+    def _boundary_columns(self):
+        """Sparse boundary matrix over cell positions, from the codes.
+
+        Returns (indptr, rows, values) as lists: column j's nonzeros are
+        rows[indptr[j]:indptr[j + 1]], faces outside the complex dropped.
+        """
+        d = self.grid.dimension
+        anchor_step = np.asarray(self._vstrides, dtype=np.int64) << d
+        masks = self._keys & ((1 << d) - 1)
+        cols, rows, vals = [], [], []
+        for i in range(d):
+            j = np.flatnonzero((masks >> i) & 1)
+            # (-1)^(extended axes below i); the upper face gets it
+            sign = 1 - 2 * (self._popcount[masks[j] & ((1 << i) - 1)] % 2)
+            lower = self._keys[j] - (self._n_vertices << d) - (1 << i)
+            for face, s in ((lower + anchor_step[i], sign), (lower, -sign)):
+                pos = np.searchsorted(self._keys, face)
+                hit = pos < self._keys.size
+                hit[hit] = self._keys[pos[hit]] == face[hit]
+                cols.append(j[hit])
+                rows.append(pos[hit])
+                vals.append(s[hit] % self.prime)
+        cols = np.concatenate(cols)
+        order = np.argsort(cols, kind="stable")
+        indptr = np.zeros(len(self.cells) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=len(self.cells)), out=indptr[1:])
+        return (indptr.tolist(), np.concatenate(rows)[order].tolist(),
+                np.concatenate(vals)[order].tolist())
+
     def boundary_matrix(self, dim: int) -> np.ndarray:
         """Dense boundary matrix C_dim -> C_{dim-1}; rows/cols in cell order."""
         rows = [c for c in self.cells if cell_dim(c) == dim - 1]
@@ -217,46 +308,54 @@ class PairComplex:
 class HomologyBasis:
     """Homology of a PairComplex via sparse column reduction over F_p.
 
-    The boundary matrix, columns ordered by dimension then lex, is
-    reduced left to right (persistence-style, R = D V).  Columns with
-    zero reduced boundary whose own index is never a pivot are the
-    essential cells; their V columns are representative cycles.  project
-    expresses any relative cycle in those representatives by repeated
-    pivot elimination.
+    The boundary matrix has its columns ordered by dimension then lex
+    (persistence-style, R = D V).  Dimensions are reduced from the top
+    down; within one, columns reduce left to right against earlier
+    columns of the same dimension.  A column whose index is already the
+    pivot (lowest row) of a column one dimension up is a cycle and is
+    cleared without being reduced.  Columns with zero reduced boundary
+    whose own index is never a pivot are the essential cells; their V
+    columns are representative cycles.  project expresses any relative
+    cycle in those representatives by repeated pivot elimination.
     """
 
     def __init__(self, complex: PairComplex):
         self.complex = complex
         p = complex.prime
-        n = len(complex.cells)
-        idx = complex.cell_index
+        indptr, rows, vals = complex._boundary_columns()
+        bounds = np.searchsorted(complex.dims, np.arange(complex.grid.dimension + 2))
 
-        R = []  # reduced boundary columns, dict row -> coeff
-        V = []  # change-of-basis columns, dict row -> coeff
+        R = {}  # nonzero reduced boundary columns, dict row -> coeff
+        V = {}  # change-of-basis columns of the pivot and essential columns
         pivot_of = {}  # low row -> column index with that pivot
-        for j, cell in enumerate(complex.cells):
-            rj = {idx[f]: v for f, v in complex.boundary_chain(cell).items()}
-            vj = {j: 1}
-            while rj:
-                low = max(rj)
-                k = pivot_of.get(low)
-                if k is None:
-                    break
-                coef = (rj[low] * _inv_mod(R[k][low], p)) % p
-                _axpy(rj, R[k], -coef, p)
-                _axpy(vj, V[k], -coef, p)
-            R.append(rj)
-            V.append(vj)
-            if rj:
-                pivot_of[max(rj)] = j
+        self._by_dim = {}
+        for dim in reversed(range(complex.grid.dimension + 1)):
+            for j in range(int(bounds[dim]), int(bounds[dim + 1])):
+                if j in pivot_of:
+                    continue  # cleared: its reduced boundary is zero
+                a, b = indptr[j], indptr[j + 1]
+                rj = dict(zip(rows[a:b], vals[a:b]))
+                vj = {j: 1}
+                while rj:
+                    low = max(rj)
+                    k = pivot_of.get(low)
+                    if k is None:
+                        break
+                    coef = (rj[low] * _inv_mod(R[k][low], p)) % p
+                    _axpy(rj, R[k], -coef, p)
+                    _axpy(vj, V[k], -coef, p)
+                V[j] = vj
+                if rj:
+                    R[j] = rj
+                    pivot_of[max(rj)] = j
+                else:
+                    # only a column one dimension up, all reduced by
+                    # now, could have had its pivot on row j
+                    self._by_dim.setdefault(dim, []).append(j)
 
         self._R = R
         self._V = V
         self._pivot_of = pivot_of
-        essential = [j for j in range(n) if not R[j] and j not in pivot_of]
-        self._by_dim = {}
-        for j in essential:
-            self._by_dim.setdefault(int(complex.dims[j]), []).append(j)
 
     def rank(self, dim: int) -> int:
         return len(self._by_dim.get(dim, []))
@@ -317,27 +416,6 @@ def carrier(boxmap: BoxMap, complex: PairComplex, cell) -> np.ndarray:
     return np.array(sorted(out & complex.p1), dtype=np.int64)
 
 
-def _carrier_rect(boxmap: BoxMap, complex: PairComplex, cell):
-    """Construction carrier as an index rectangle: intersection of the
-    target ranges over the cell's P1 cofaces.  Returns (lo, hi) arrays or
-    None when the intersection is empty."""
-    grid = boxmap.grid
-    lo = None
-    for j in cell_coface_boxes(cell, grid.shape):
-        lin = grid.linearize(j)
-        if lin not in complex.p1:
-            continue
-        jmin, jmax = boxmap.target_ranges(lin)
-        if lo is None:
-            lo, hi = jmin.astype(np.int64).copy(), jmax.astype(np.int64).copy()
-        else:
-            lo = np.maximum(lo, jmin)
-            hi = np.minimum(hi, jmax)
-    if lo is None or np.any(lo > hi):
-        return None
-    return lo, hi
-
-
 def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:
     """Chain contraction of the full rectangle complex with base vertex lo.
 
@@ -367,8 +445,68 @@ def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:
     return out
 
 
+class _LazyPhi(dict):
+    """phi on the quotient cells, computed on first lookup and memoized.
+
+    A cell's image in the full complex depends only on its carrier
+    rectangle and the images of its faces, so it is built faces first,
+    on the cell's face closure only.  Projected to the quotient, it must
+    satisfy del(phi) = phi(del) before it is stored.
+    """
+
+    def __init__(self, complex: PairComplex, lo: np.ndarray, hi: np.ndarray,
+                 vertex_rule: str):
+        super().__init__()
+        self.complex = complex
+        self._lo = lo
+        self._hi = hi
+        self._vertex_rule = vertex_rule
+        self._full = {}  # closure cell -> phi in the full complex
+
+    def _phi_full(self, cell) -> dict:
+        out = self._full.get(cell)
+        if out is None:
+            row = self.complex._closure_row(cell)
+            lo = self._lo[row]
+            if cell[1] == 0:
+                corner = lo if self._vertex_rule == "smallest" else self._hi[row] + 1
+                out = {(tuple(int(v) for v in corner), 0): 1}
+            else:
+                rhs = {}
+                for face, sign in cell_faces(cell):
+                    _axpy(rhs, self._phi_full(face), sign, self.complex.prime)
+                out = _contract(rhs, lo, self.complex.prime)
+            self._full[cell] = out
+        return out
+
+    def __missing__(self, cell):
+        idx = self.complex.cell_index
+        if cell not in idx:
+            raise KeyError(cell)
+        image = {c: v for c, v in self._phi_full(cell).items() if c in idx}
+        if cell[1]:
+            self._check_commutes(cell, image)
+        self[cell] = image
+        return image
+
+    def _check_commutes(self, cell, image: dict):
+        """del(phi) = phi(del) must hold exactly; violations are bugs."""
+        complex = self.complex
+        p = complex.prime
+        lhs = {}
+        for c2, v in image.items():
+            _axpy(lhs, complex.boundary_chain(c2), v, p)
+        rhs = {}
+        for face, sign in cell_faces(cell):
+            if face in complex.cell_index:
+                _axpy(rhs, self[face], sign, p)
+        if lhs != rhs:
+            raise BoxdynError(f"chain map does not commute with boundary at {cell}")
+
+
 class ChainMapData:
-    """phi per cell of a relative complex."""
+    """phi per cell of a relative complex; phi[cell] is computed on
+    first lookup."""
 
     def __init__(self, complex: PairComplex, phi: dict):
         self.complex = complex
@@ -386,69 +524,42 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
               vertex_rule: str = "smallest") -> ChainMapData:
     """Endomorphism of the relative chain complex carried by the box map.
 
-    Built in the full cubical complex dimension by dimension and then
-    projected to the quotient; cells outside the complex are dropped.
-    Every carrier is a box rectangle, where the boundary equation is
-    solved by the chain contraction.
+    Built in the full cubical complex and projected to the quotient;
+    cells outside the complex are dropped.  Every carrier is a box
+    rectangle, where the boundary equation is solved by the chain
+    contraction.  The carriers of the whole closure are computed and
+    checked here; phi itself is evaluated on demand (ChainMapData.phi).
     vertex_rule "largest" picks the opposite corner in dim 0 (used to
     confirm choice-independence of the induced homology map).
     """
-    grid = boxmap.grid
-    p = complex.prime
+    cof = complex.cofaces
+    in_p1 = complex._in_p1
+    exterior = boxmap.exterior
 
     # guard: a region box adjacent to an exterior box would let chains
     # escape the quotient through the shared face; refuse loudly.
-    for cell in complex.cells:
-        for j in cell_coface_boxes(cell, grid.shape):
-            lin = grid.linearize(j)
-            if lin not in complex.p1 and boxmap.exterior[lin]:
-                raise BoxdynError(
-                    "index pair touches exterior boxes; enlarge the domain "
-                    "or refine the grid"
-                )
+    qcof = cof[complex._rows]
+    if ((qcof >= 0) & ~in_p1[qcof] & exterior[qcof]).any():
+        raise BoxdynError(
+            "index pair touches exterior boxes; enlarge the domain "
+            "or refine the grid"
+        )
 
-    # built on the closure of the region, faces before their cofaces
-    phi_full = {}
-    for cell in complex.closure:
-        rect = _carrier_rect(boxmap, complex, cell)
-        if rect is None:
-            raise CarrierNotAcyclic(cell, "carrier is empty")
-        lo, hi = rect
-        if cell_dim(cell) == 0:
-            corner = lo if vertex_rule == "smallest" else hi + 1
-            phi_full[cell] = {(tuple(int(v) for v in corner), 0): 1}
-        else:
-            rhs = {}
-            for face, sign in cell_faces(cell):
-                _axpy(rhs, phi_full[face], sign, p)
-            phi_full[cell] = _contract(rhs, lo, p)
+    # construction carriers: intersection of the P1 cofaces' target
+    # ranges; an exterior coface has no targets
+    used = in_p1[cof]
+    p1cof = np.where(used, cof, -1)
+    lo = np.max(boxmap.jmin[p1cof], axis=1, where=used[..., None],
+                initial=np.iinfo(boxmap.jmin.dtype).min)
+    hi = np.min(boxmap.jmax[p1cof], axis=1, where=used[..., None],
+                initial=np.iinfo(boxmap.jmax.dtype).max)
+    empty = (~used.any(axis=1) | (lo > hi).any(axis=1)
+             | (used & exterior[p1cof]).any(axis=1))
+    if empty.any():
+        raise CarrierNotAcyclic(complex._closure_cell(int(np.argmax(empty))),
+                                "carrier is empty")
 
-    # project to the quotient
-    phi = {cell: {c2: v for c2, v in phi_full[cell].items()
-                  if c2 in complex.cell_index}
-           for cell in complex.cells}
-
-    cm = ChainMapData(complex, phi)
-    _assert_chain_map(cm)
-    return cm
-
-
-def _assert_chain_map(cm: ChainMapData):
-    """del(phi) = phi(del) must hold exactly; violations are bugs."""
-    complex = cm.complex
-    p = complex.prime
-    for cell in complex.cells:
-        if cell_dim(cell) == 0:
-            continue
-        lhs = {}
-        for c2, v in cm.phi[cell].items():
-            _axpy(lhs, complex.boundary_chain(c2), v, p)
-        rhs = {}
-        for face, sign in cell_faces(cell):
-            if face in complex.cell_index:
-                _axpy(rhs, cm.phi[face], sign, p)
-        if lhs != rhs:
-            raise BoxdynError(f"chain map does not commute with boundary at {cell}")
+    return ChainMapData(complex, _LazyPhi(complex, lo, hi, vertex_rule))
 
 
 def induced_homology_map(cm: ChainMapData, basis: HomologyBasis) -> dict:

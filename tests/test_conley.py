@@ -176,6 +176,22 @@ class TestConleyIndexObject:
         assert ci.labels() == ("x - 1", "0")
         assert not ci.is_trivial()
 
+    def test_shift_class_computed_once_per_dimension(self, monkeypatch):
+        """One eventual-image restriction per homology dimension: the
+        label is the product of the invariant factors already found."""
+        import boxdyn.conley as conley
+        calls = []
+        restrict = conley._eventual_restriction
+
+        def counted(m, p):
+            calls.append(m.shape)
+            return restrict(m, p)
+
+        monkeypatch.setattr(conley, "_eventual_restriction", counted)
+        ci = self._sample()
+        assert ci.labels() == ("x - 1", "0")
+        assert len(calls) == 2  # dimensions 0 and 1 of a 1-D grid
+
     def test_json_round_trip(self):
         ci = self._sample()
         back = ConleyIndex.from_jsonable(ci.to_jsonable())

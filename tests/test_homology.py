@@ -17,13 +17,13 @@ from boxdyn import (
     rank_mod_p,
     solve_mod_p,
 )
-from boxdyn.errors import BoxdynError
+from boxdyn.errors import BoxdynError, CarrierNotAcyclic
 from boxdyn.homology import (
     _contract,
-    box_cells,
     cell_dim,
     cell_faces,
 )
+from boxdyn.outer_approx import BoxMap
 
 from conftest import brute_betti
 
@@ -38,11 +38,19 @@ def grid2d(dx=2, dy=2):
 
 class TestCells:
     def test_box_cells_count(self):
-        cells = box_cells((1, 2))
-        assert len(cells) == 9  # 3^2 faces of a square
-        assert sum(1 for c in cells if cell_dim(c) == 0) == 4
-        assert sum(1 for c in cells if cell_dim(c) == 1) == 4
-        assert sum(1 for c in cells if cell_dim(c) == 2) == 1
+        """The closure of one box is its 3^d faces, C(d, k) 2^(d-k) of
+        dimension k; with P0 empty every one is a cell of the complex."""
+        for g, j, counts in ((grid2d(), (1, 2), [4, 4, 1]),
+                             (CubicalGrid(PhaseSpace([0.0] * 3, [1.0] * 3),
+                                          [2, 2, 2]), (3, 0, 2),
+                              [8, 12, 6, 1])):
+            cx = PairComplex(g, [g.linearize(j)], set())
+            assert len(cx.closure) == 3 ** g.dimension
+            assert len(cx.cells) == 3 ** g.dimension
+            assert [sum(1 for c in cx.cells if cell_dim(c) == k)
+                    for k in range(g.dimension + 1)] == counts
+            assert ((tuple(a + 1 for a in j), 0) in cx.cell_index
+                    and (j, (1 << g.dimension) - 1) in cx.cell_index)
 
     def test_boundary_of_boundary_vanishes(self, rng):
         p = 5
@@ -311,6 +319,37 @@ class TestChainMap:
                 covers = [g.linearize(j)
                           for j in cell_coface_boxes(c2, g.shape)]
                 assert any(c in allowed for c in covers)
+
+    @pytest.mark.parametrize("last_target, last_exterior", [(3, False),
+                                                            (0, True)])
+    def test_carrier_checked_outside_the_representatives(
+            self, last_target, last_exterior):
+        """An empty carrier raises even where the index never reads phi.
+
+        Boxes 0-2 map to box 0, and box 3 maps to box 3 or is exterior
+        (no targets): the vertex shared by boxes 2 and 3 has an empty
+        carrier, while the only H_0 representative is the vertex at 0."""
+        g = grid1d(2)
+        ranges = np.array([[0], [0], [0], [last_target]])
+        bm = BoxMap(g, 0.0, jmin=ranges, jmax=ranges,
+                    exterior=np.array([False] * 3 + [last_exterior]))
+        cx = PairComplex(g, range(4), set())
+        assert HomologyBasis(cx).representatives(0) == [{((0,), 0): 1}]
+        with pytest.raises(CarrierNotAcyclic) as exc:
+            chain_map(bm, cx)
+        assert exc.value.cell == ((3,), 0)
+
+    def test_index_pair_touching_exterior_is_refused(self):
+        """Box 3 is exterior and outside P1 = {0, 1, 2}; the vertex it
+        shares with box 2 is a cell of the quotient."""
+        g = grid1d(2)
+        bm = BoxMap(g, 0.0, jmin=np.array([[0], [0], [1], [0]]),
+                    jmax=np.array([[1], [1], [2], [0]]),
+                    exterior=np.array([False, False, False, True]))
+        cx = PairComplex(g, [0, 1, 2], set())
+        assert ((3,), 0) in cx.cell_index
+        with pytest.raises(BoxdynError, match="index pair touches exterior"):
+            chain_map(bm, cx)
 
     def test_vertex_rule_invariance_on_homology(self):
         g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [8])

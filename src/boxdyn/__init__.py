@@ -8,7 +8,7 @@ analyses at different resolutions.
 """
 
 from .compare import NuMap, check_epimorphism, morse_tiles, project
-from .conley import (ConleyIndex, charpoly_mod_p, conley_index, format_poly,
+from .conley import (ConleyIndex, conley_index, format_poly,
                      invariant_factors_mod_p, nontriviality, shift_class,
                      shift_invariant_factors)
 from .errors import (BoxdynError, CarrierNotAcyclic, ConfigError,
@@ -20,9 +20,8 @@ from .graph_dynamics import (Condensation, IndexPairC, MorseGraph,
                              morse_graph_from_jsonable,
                              verify_attracting_block)
 from .grid import CubicalGrid, PhaseSpace, Rect
-from .homology import (ChainMapData, HomologyBasis, PairComplex, carrier,
-                       chain_map, induced_homology_map, rank_mod_p,
-                       solve_mod_p)
+from .homology import (ChainMapData, HomologyBasis, PairComplex, chain_map,
+                       induced_homology_map, rank_mod_p, solve_mod_p)
 from .oracles import (CallableOracle, LeslieOracle, LipschitzDataOracle,
                       MapOracle, MlpOracle, PiecewiseExample1D)
 from .outer_approx import BoxMap, build_boxmap, encloses
@@ -37,7 +36,7 @@ __all__ = [
     "MapOracle", "MlpOracle", "MorseGraph", "NodeNotRecurrent", "NuMap",
     "PairComplex", "ParseError", "PhaseSpace", "PiecewiseExample1D",
     "PointOutsideDomain", "Rect", "RegionStraddlesTiles",
-    "build_boxmap", "carrier", "chain_map", "charpoly_mod_p",
+    "build_boxmap", "chain_map",
     "check_epimorphism", "condensation", "conley_index", "downset",
     "encloses", "format_poly", "index_pair", "induced_homology_map",
     "invariant_factors_mod_p", "morse_graph", "morse_graph_from_jsonable",

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, oracles
 from .compare import check_epimorphism, project
 from .conley import ConleyIndex, conley_index
 from .errors import (BoxdynError, ConfigError, DimensionMismatch,
@@ -78,10 +78,13 @@ class AnalysisConfig:
 
     def cache_key(self) -> str:
         """Hash of everything the box map depends on: the configuration
-        without its output directory, plus the bytes of the oracle's
-        weights or samples file, so that editing the file misses the cache."""
+        without its output directory, the boxdyn version and the
+        enclosure tag, plus the bytes of the oracle's weights or samples
+        file, so that editing the file misses the cache."""
         doc = self.to_jsonable()
         doc.pop("out")
+        doc["boxdyn"] = __version__
+        doc["enclosure_semantics"] = oracles.ENCLOSURE_SEMANTICS
         h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
         for key in ("weights", "samples"):
             if key in self.oracle:
@@ -261,6 +264,7 @@ def run_analysis(cfg: AnalysisConfig):
     manifest = {
         "config": cfg.to_jsonable(),
         "cache_key": cfg.cache_key(),
+        "enclosure_semantics": oracles.ENCLOSURE_SEMANTICS,
         "oracle_lipschitz_bound": float(oracle.lipschitz_upper_bound()),
         "n_boxes": grid.box_count,
         "n_exterior_boxes": int(boxmap.exterior.sum()),

@@ -99,12 +99,6 @@ def _poly_product(polys, p):
     return out
 
 
-def charpoly_mod_p(m: np.ndarray, p: int):
-    """Characteristic polynomial det(xI - m) over F_p: the product of the
-    invariant factors.  Returns ascending coefficients, monic."""
-    return _poly_product(invariant_factors_mod_p(m, p), p)
-
-
 def invariant_factors_mod_p(m: np.ndarray, p: int):
     """Nonconstant invariant factors of m: Smith normal form of xI - m
     over F_p[x].  Returned monic, each dividing the next."""

@@ -36,23 +36,12 @@ class Rect:
         return self.lower.size
 
     @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
     def half_diameter(self) -> float:
         return 0.5 * float(np.linalg.norm(self.upper - self.lower))
 
     def padded(self, rho: float) -> "Rect":
         """Inflate every side by rho (sup-metric ball)."""
         return Rect(self.lower - rho, self.upper + rho)
-
-    def corners(self) -> np.ndarray:
-        """All 2^d corner points, shape (2^d, d)."""
-        d = self.dimension
-        idx = np.arange(2**d)[:, None]
-        bits = (idx >> np.arange(d)[None, :]) & 1
-        return np.where(bits == 1, self.upper, self.lower)
 
     def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -210,11 +199,6 @@ class CubicalGrid:
         for offset in np.ndindex(*[len(rg) for rg in ranges]):
             out.append(tuple(ranges[i][offset[i]] for i in range(self.dimension)))
         return out
-
-    def vertex_coordinates(self) -> np.ndarray:
-        """Coordinates of all grid vertices, shape (*(n_i + 1), d)."""
-        mesh = np.meshgrid(*self.faces, indexing="ij")
-        return np.stack(mesh, axis=-1)
 
     def __eq__(self, other):
         return (

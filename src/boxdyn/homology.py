@@ -32,8 +32,6 @@ checked on every cell whose phi is computed.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import BoxdynError, CarrierNotAcyclic
@@ -61,28 +59,6 @@ def cell_faces(cell):
             out.append(((upper, mask & ~bit), sign))
             out.append(((anchor, mask & ~bit), -sign))
             below += 1
-    return out
-
-
-def cell_coface_boxes(cell, shape):
-    """Top-dimensional boxes having the cell as a face, as multi-indices."""
-    anchor, mask = cell
-    d = len(anchor)
-    free = [i for i in range(d) if not (mask >> i) & 1]
-    out = []
-    for choice in itertools.product((0, 1), repeat=len(free)):
-        j = list(anchor)
-        ok = True
-        for i, c in zip(free, choice):
-            j[i] = anchor[i] - c
-            if not (0 <= j[i] < shape[i]):
-                ok = False
-                break
-        for i in range(d):
-            if (mask >> i) & 1 and not (0 <= j[i] < shape[i]):
-                ok = False
-        if ok:
-            out.append(tuple(j))
     return out
 
 
@@ -403,17 +379,6 @@ class HomologyBasis:
 
 # ---------------------------------------------------------------------------
 # carriers and the chain map
-
-
-def carrier(boxmap: BoxMap, complex: PairComplex, cell) -> np.ndarray:
-    """Declared carrier: union of targets over P1 cofaces, within P1."""
-    grid = boxmap.grid
-    out = set()
-    for j in cell_coface_boxes(cell, grid.shape):
-        lin = grid.linearize(j)
-        if lin in complex.p1:
-            out.update(int(t) for t in boxmap.targets(lin))
-    return np.array(sorted(out & complex.p1), dtype=np.int64)
 
 
 def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:

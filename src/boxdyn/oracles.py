@@ -1,11 +1,14 @@
 """Sources of rigorous image enclosures for an evaluable map G.
 
-Every oracle can evaluate G at points, enclose the image of a closed
-rectangle in a rectangle guaranteed to contain it, and report an explicit
-upper bound on the Lipschitz constant of G.  The default enclosure is the
-hull of the corner images padded by L * (half box diameter): every point
-of the box is within half a diameter of some corner, so the padded hull
-covers the true image.
+Every oracle evaluates G at points, encloses the image of each box of a
+product grid in a rectangle guaranteed to contain it, and reports an
+explicit upper bound on the Lipschitz constant of G.  Each of these is
+one method: eval_batch is the only pointwise formula (eval checks one
+point and calls it) and enclosures(faces) the only enclosure formula
+(image_rect and image_rects call it on a one-box grid and on a
+CubicalGrid).  The default enclosure is the hull of the corner images
+padded by L * (half box diameter): every point of the box is within half
+a diameter of some corner, so the padded hull covers the true image.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, PointOutsideDomain
 from .grid import CubicalGrid, PhaseSpace, Rect
+
+#: Tag of the enclosure formulas, hashed into the box-map cache key.
+#: Change it whenever an enclosure changes.  "v1": every bound is
+#: rounded to nearest, none outward.
+ENCLOSURE_SEMANTICS = "v1"
 
 
 class MapOracle(ABC):
@@ -34,7 +42,8 @@ class MapOracle(ABC):
     def lipschitz_upper_bound(self) -> float: ...
 
     @abstractmethod
-    def _eval(self, x: np.ndarray) -> np.ndarray: ...
+    def eval_batch(self, points: np.ndarray) -> np.ndarray:
+        """Evaluate at many points, shape (n, d) -> (n, d)."""
 
     def eval(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -44,50 +53,51 @@ class MapOracle(ABC):
             )
         if self.domain is not None and not self.domain.contains(x):
             raise PointOutsideDomain(f"point {x} outside {self.domain}")
-        return self._eval(x)
+        return self.eval_batch(x[None])[0]
 
-    def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at many points, shape (n, d) -> (n, d). Default: a loop."""
-        return np.array([self._eval(p) for p in np.asarray(points, dtype=float)])
+    def enclosures(self, faces) -> tuple[np.ndarray, np.ndarray]:
+        """Image enclosures of every box of the product grid of faces.
+
+        faces[i] holds the increasing face coordinates along axis i.
+        Returns (lo, hi), shape (n, d), boxes in C order.  The default
+        is the corner hull padded by L * (half box diameter); each grid
+        vertex is evaluated once and shared by the boxes that meet it.
+        """
+        d = len(faces)
+        shape = tuple(len(f) for f in faces)
+        vals = self.eval_batch(_product(faces)).reshape(shape + (d,))
+        lo = hi = None
+        for corner in np.ndindex(*([2] * d)):
+            v = vals[tuple(slice(1, None) if b else slice(None, -1)
+                           for b in corner)]
+            lo = v if lo is None else np.minimum(lo, v)
+            hi = v if hi is None else np.maximum(hi, v)
+        pad = self.lipschitz_upper_bound() * _half_diameters(faces)[:, None]
+        return lo.reshape(-1, d) - pad, hi.reshape(-1, d) + pad
 
     def image_rect(self, box: Rect) -> Rect:
         """Rectangle containing the image of the closed box."""
-        imgs = self.eval_batch(box.corners())
-        pad = self.lipschitz_upper_bound() * box.half_diameter
-        return Rect(imgs.min(axis=0) - pad, imgs.max(axis=0) + pad)
+        lo, hi = self.enclosures(
+            [np.array([a, b]) for a, b in zip(box.lower, box.upper)])
+        return Rect(lo[0], hi[0])
 
     def image_rects(self, grid: CubicalGrid):
         """Image enclosures of every grid box; returns (lo, hi), shape (n, d).
 
-        Boxes are ordered by linearized index.  Subclasses override this
-        with vectorized variants; the default loops over image_rect.
+        Boxes are ordered by linearized index.
         """
-        n = grid.box_count
-        lo = np.empty((n, grid.dimension))
-        hi = np.empty((n, grid.dimension))
-        for k in range(n):
-            r = self.image_rect(grid.box_rect(grid.multi_index(k)))
-            lo[k] = r.lower
-            hi[k] = r.upper
-        return lo, hi
+        return self.enclosures(grid.faces)
 
 
-def _corner_hull_rects(oracle: MapOracle, grid: CubicalGrid):
-    """Vectorized corner-hull enclosures via one pass over the vertex grid."""
-    d = grid.dimension
-    verts = grid.vertex_coordinates()  # (*(n_i+1), d)
-    vals = oracle.eval_batch(verts.reshape(-1, d)).reshape(verts.shape)
-    lo = None
-    hi = None
-    for corner in np.ndindex(*([2] * d)):
-        sl = tuple(
-            slice(1, None) if b else slice(None, -1) for b in corner
-        )
-        v = vals[sl]
-        lo = v if lo is None else np.minimum(lo, v)
-        hi = v if hi is None else np.maximum(hi, v)
-    pad = oracle.lipschitz_upper_bound() * 0.5 * grid.diameter()
-    return (lo - pad).reshape(-1, d), (hi + pad).reshape(-1, d)
+def _product(axes) -> np.ndarray:
+    """Points of the product of 1-D coordinate arrays, shape (n, d), C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+
+
+def _half_diameters(faces) -> np.ndarray:
+    """Half the Euclidean diameter of each box of the product grid, shape (n,)."""
+    return 0.5 * np.linalg.norm(_product([np.diff(f) for f in faces]), axis=1)
 
 
 class LeslieOracle(MapOracle):
@@ -120,12 +130,6 @@ class LeslieOracle(MapOracle):
     def lipschitz_upper_bound(self) -> float:
         return self.LIPSCHITZ_BOUND
 
-    def _eval(self, x):
-        t1, t2 = self.theta
-        return np.array(
-            [(t1 * x[0] + t2 * x[1]) * math.exp(-0.1 * (x[0] + x[1])), 0.7 * x[0]]
-        )
-
     def eval_batch(self, points):
         p = np.asarray(points, dtype=float)
         t1, t2 = self.theta
@@ -157,24 +161,9 @@ class LeslieOracle(MapOracle):
         prods = np.stack([w_lo * e_lo, w_lo * e_hi, w_hi * e_lo, w_hi * e_hi])
         return prods.min(axis=0), prods.max(axis=0)
 
-    def image_rect(self, box):
-        lo = box.lower.reshape(1, -1)
-        hi = box.upper.reshape(1, -1)
-        f_lo, f_hi = self._first_coord_range(lo, hi)
-        return Rect(
-            [float(f_lo[0]), 0.7 * float(lo[0, 0])],
-            [float(f_hi[0]), 0.7 * float(hi[0, 0])],
-        )
-
-    def image_rects(self, grid):
-        d = grid.dimension
-        mids = [grid.faces[i] for i in range(d)]
-        blo = np.stack(
-            np.meshgrid(*[m[:-1] for m in mids], indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        bhi = np.stack(
-            np.meshgrid(*[m[1:] for m in mids], indexing="ij"), axis=-1
-        ).reshape(-1, d)
+    def enclosures(self, faces):
+        blo = _product([f[:-1] for f in faces])
+        bhi = _product([f[1:] for f in faces])
         f_lo, f_hi = self._first_coord_range(blo, bhi)
         return (
             np.column_stack([f_lo, 0.7 * blo[:, 0]]),
@@ -203,27 +192,14 @@ class PiecewiseExample1D(MapOracle):
     def lipschitz_upper_bound(self) -> float:
         return 2.0
 
-    def _eval(self, x):
-        v = float(x[0])
-        if v <= 0.5:
-            return np.array([0.0])
-        if v <= (self.theta + 1.0) / 2.0:
-            return np.array([2.0 * v - 1.0])
-        return np.array([self.theta])
-
     def eval_batch(self, points):
         p = np.asarray(points, dtype=float).reshape(-1)
-        out = np.clip(2.0 * p - 1.0, 0.0, self.theta)
-        return out.reshape(-1, 1)
+        return np.clip(2.0 * p - 1.0, 0.0, self.theta).reshape(-1, 1)
 
-    def image_rect(self, box):
+    def enclosures(self, faces):
         # exact: f is continuous and nondecreasing
-        return Rect(self._eval(box.lower), self._eval(box.upper))
-
-    def image_rects(self, grid):
-        f = grid.faces[0]
-        vals = np.clip(2.0 * f - 1.0, 0.0, self.theta)
-        return vals[:-1].reshape(-1, 1), vals[1:].reshape(-1, 1)
+        vals = self.eval_batch(faces[0])
+        return vals[:-1], vals[1:]
 
 
 class MlpOracle(MapOracle):
@@ -277,9 +253,6 @@ class MlpOracle(MapOracle):
             out *= self._layer_bound(w)
         return out
 
-    def _eval(self, x):
-        return self.eval_batch(x.reshape(1, -1))[0]
-
     def eval_batch(self, points):
         a = np.asarray(points, dtype=float)
         for k, (w, b) in enumerate(self.layers):
@@ -287,9 +260,6 @@ class MlpOracle(MapOracle):
             if k < len(self.layers) - 1:
                 np.maximum(a, 0.0, out=a)
         return a
-
-    def image_rects(self, grid):
-        return _corner_hull_rects(self, grid)
 
 
 class LipschitzDataOracle(MapOracle):
@@ -320,24 +290,15 @@ class LipschitzDataOracle(MapOracle):
     def lipschitz_upper_bound(self) -> float:
         return self.L
 
-    def _eval(self, x):
+    def eval_batch(self, points):
         raise NotImplementedError(
             "a data oracle has no pointwise evaluation; use image_rect"
         )
 
-    def image_rect(self, box):
-        c = box.center
-        dist, i = self._tree.query(c)
-        rad = self.L * (float(dist) + box.half_diameter)
-        return Rect(self.ys[i] - rad, self.ys[i] + rad)
-
-    def image_rects(self, grid):
-        n = grid.box_count
-        d = grid.dimension
-        mids = [0.5 * (grid.faces[i][:-1] + grid.faces[i][1:]) for i in range(d)]
-        centers = np.stack(np.meshgrid(*mids, indexing="ij"), axis=-1).reshape(-1, d)
+    def enclosures(self, faces):
+        centers = _product([0.5 * (f[:-1] + f[1:]) for f in faces])
         dist, idx = self._tree.query(centers)
-        rad = (self.L * (dist + 0.5 * grid.diameter()))[:, None]
+        rad = (self.L * (dist + _half_diameters(faces)))[:, None]
         y = self.ys[idx]
         return y - rad, y + rad
 
@@ -359,5 +320,6 @@ class CallableOracle(MapOracle):
     def lipschitz_upper_bound(self) -> float:
         return self._lip
 
-    def _eval(self, x):
-        return np.atleast_1d(np.asarray(self._func(x), dtype=float))
+    def eval_batch(self, points):
+        return np.array([np.atleast_1d(np.asarray(self._func(p), dtype=float))
+                         for p in np.asarray(points, dtype=float)])

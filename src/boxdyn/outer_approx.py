@@ -45,12 +45,6 @@ class BoxMap:
     def n_boxes(self) -> int:
         return self.grid.box_count
 
-    def target_ranges(self, linear: int):
-        """Inclusive (jmin, jmax) index ranges, or None for exterior boxes."""
-        if self.exterior[linear]:
-            return None
-        return self.jmin[linear], self.jmax[linear]
-
     def out_degrees(self) -> np.ndarray:
         deg = np.prod(self.jmax.astype(np.int64) - self.jmin + 1, axis=1)
         deg[self.exterior] = 0
@@ -109,16 +103,6 @@ class BoxMap:
         adj = self.adjacency()
         linear = int(linear)
         return adj.indices[adj.indptr[linear]:adj.indptr[linear + 1]].astype(np.int64)
-
-    def edges(self):
-        """Iterate (source, target) pairs of linearized indices."""
-        coo = self.adjacency().tocoo()
-        return zip(coo.row.tolist(), coo.col.tolist())
-
-    def export_edge_list(self, path):
-        with open(path, "w") as fh:
-            for s, t in self.edges():
-                fh.write(f"{s} {t}\n")
 
 
 def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:

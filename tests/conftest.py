@@ -1,11 +1,13 @@
-"""Shared helpers: hand-built digraph box maps, brute-force oracles and
-the shared Leslie 9x9 analysis.
+"""Shared helpers: hand-built digraph box maps, brute-force oracles,
+scalar reference implementations and the shared Leslie 9x9 analysis.
 
 The brute-force routines here are deliberately independent of the library
-internals (Floyd-Warshall closures, dense rank counts) so the fast
-implementations are checked against slow-but-obvious ones.
+internals (Floyd-Warshall closures, dense rank counts, per-cell coface
+loops) so the fast implementations are checked against slow-but-obvious
+ones.
 """
 
+import itertools
 import math
 import time
 from types import SimpleNamespace
@@ -84,6 +86,47 @@ def brute_betti(complex, max_dim):
         rk1 = rank_mod_p(complex.boundary_matrix(k + 1), complex.prime)
         out.append(nk - rk - rk1)
     return out
+
+
+def cell_coface_boxes(cell, shape):
+    """Top-dimensional boxes having the cell as a face, as multi-indices."""
+    anchor, mask = cell
+    d = len(anchor)
+    free = [i for i in range(d) if not (mask >> i) & 1]
+    out = []
+    for choice in itertools.product((0, 1), repeat=len(free)):
+        j = list(anchor)
+        ok = True
+        for i, c in zip(free, choice):
+            j[i] = anchor[i] - c
+            if not (0 <= j[i] < shape[i]):
+                ok = False
+                break
+        for i in range(d):
+            if (mask >> i) & 1 and not (0 <= j[i] < shape[i]):
+                ok = False
+        if ok:
+            out.append(tuple(j))
+    return out
+
+
+def carrier(boxmap, complex, cell):
+    """Declared carrier: union of targets over P1 cofaces, within P1."""
+    grid = boxmap.grid
+    out = set()
+    for j in cell_coface_boxes(cell, grid.shape):
+        lin = grid.linearize(j)
+        if lin in complex.p1:
+            out.update(int(t) for t in boxmap.targets(lin))
+    return np.array(sorted(out & complex.p1), dtype=np.int64)
+
+
+def charpoly_mod_p(m, p):
+    """Characteristic polynomial det(xI - m) over F_p: the product of the
+    invariant factors.  Returns ascending coefficients, monic."""
+    from boxdyn.conley import _poly_product, invariant_factors_mod_p
+
+    return _poly_product(invariant_factors_mod_p(m, p), p)
 
 
 @pytest.fixture(scope="session")

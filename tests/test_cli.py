@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from boxdyn import oracles
 from boxdyn.cli import (
     AnalysisConfig,
     load_config,
@@ -183,6 +184,23 @@ class TestAnalyzeCommand:
         stamp = caches[0].stat().st_mtime_ns
         assert main(["analyze", "--config", str(cfg_path)]) == 0
         assert caches[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
+
+    def test_cache_follows_enclosure_semantics(self, tmp_path, monkeypatch):
+        """A box map cached under one enclosure tag is not reused under
+        another: the second run builds and caches its own."""
+        cfg_path = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        first, = out.glob("boxmap_*.npz")
+        stamp = first.stat().st_mtime_ns
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["enclosure_semantics"] == oracles.ENCLOSURE_SEMANTICS
+        monkeypatch.setattr(oracles, "ENCLOSURE_SEMANTICS", "changed")
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        assert len(list(out.glob("boxmap_*.npz"))) == 2
+        assert first.stat().st_mtime_ns == stamp
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["enclosure_semantics"] == "changed"
 
     def test_cache_follows_oracle_file_contents(self, tmp_path):
         """Rewriting the weights file must not reuse the old box map."""

@@ -12,12 +12,13 @@ from boxdyn import (
     nontriviality,
 )
 from boxdyn.conley import (
-    charpoly_mod_p,
     format_poly,
     invariant_factors_mod_p,
     shift_class,
     shift_invariant_factors,
 )
+
+from conftest import charpoly_mod_p
 
 P = 5
 

@@ -104,7 +104,8 @@ class TestCondensation:
                     range(lo, hi + 1) for lo, hi in zip(bm.jmin[b], bm.jmax[b])
                 ])
             ]
-            assert sorted(bm.edges()) == sorted(edges)
+            rows, cols = bm.adjacency().nonzero()
+            assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(edges)
             cond = condensation(bm)
             comps, rec = brute_sccs(n, edges)
             for comp, r in zip(comps, rec):

@@ -9,7 +9,6 @@ from boxdyn import (
     PhaseSpace,
     PiecewiseExample1D,
     build_boxmap,
-    carrier,
     chain_map,
     condensation,
     index_pair,
@@ -25,7 +24,7 @@ from boxdyn.homology import (
 )
 from boxdyn.outer_approx import BoxMap
 
-from conftest import brute_betti
+from conftest import brute_betti, carrier, cell_coface_boxes, charpoly_mod_p
 
 
 def grid1d(depth=3, lo=0.0, hi=1.0):
@@ -235,7 +234,6 @@ class TestCarrier:
         cx = PairComplex(g, range(g.box_count), set())
         for cell in cx.cells:
             car = set(carrier(bm, cx, cell).tolist())
-            from boxdyn.homology import cell_coface_boxes
             for j in cell_coface_boxes(cell, g.shape):
                 assert g.linearize(j) in car
 
@@ -306,7 +304,6 @@ class TestChainMap:
         bm, g = identity_map()
         cx = PairComplex(g, range(g.box_count), set())
         cm = chain_map(bm, cx)
-        from boxdyn.homology import cell_coface_boxes
         for cell in cx.cells:
             allowed = set(carrier(bm, cx, cell).tolist())
             for (anchor, mask) in cm.phi[cell]:
@@ -362,6 +359,5 @@ class TestChainMap:
         basis = HomologyBasis(cx)
         m1 = induced_homology_map(chain_map(bm, cx, vertex_rule="smallest"), basis)
         m2 = induced_homology_map(chain_map(bm, cx, vertex_rule="largest"), basis)
-        from boxdyn.conley import charpoly_mod_p
         for dim in (0, 1):
             assert charpoly_mod_p(m1[dim], 5) == charpoly_mod_p(m2[dim], 5)

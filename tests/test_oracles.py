@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxdyn import (
+    CallableOracle,
     CubicalGrid,
     LeslieOracle,
     LipschitzDataOracle,
@@ -37,7 +38,7 @@ class TestLeslieEval:
         pts = rng.random((40, 2)) * [90.0, 70.0]
         batch = o.eval_batch(pts)
         for p, v in zip(pts, batch):
-            assert np.allclose(v, o.eval(p))
+            assert np.array_equal(v, o.eval(p))
 
     def test_lipschitz_bound_verified_by_jacobian_brute_force(self):
         """Maximize the closed-form Jacobian spectral norm over X.
@@ -62,15 +63,18 @@ class TestLeslieEval:
         assert peak == pytest.approx(33.24, abs=0.05)  # attained at the origin
 
     def test_soundness_of_image_rects(self, rng):
-        o = LeslieOracle((23.5, 23.5))
-        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 4])
-        lo, hi = o.image_rects(grid)
-        for _ in range(200):
-            k = int(rng.integers(0, grid.box_count))
-            r = grid.box_rect(grid.multi_index(k))
-            x = r.lower + rng.random(2) * (r.upper - r.lower)
-            y = o.eval(x)
-            assert np.all(y >= lo[k]) and np.all(y <= hi[k])
+        # theta1 == theta2 takes the closed form, theta1 != theta2 the
+        # interval product
+        for theta in [(23.5, 23.5), (19.0, 27.0)]:
+            o = LeslieOracle(theta)
+            grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 4])
+            lo, hi = o.image_rects(grid)
+            for _ in range(200):
+                k = int(rng.integers(0, grid.box_count))
+                r = grid.box_rect(grid.multi_index(k))
+                x = r.lower + rng.random(2) * (r.upper - r.lower)
+                y = o.eval(x)
+                assert np.all(y >= lo[k]) and np.all(y <= hi[k])
 
 
 class TestPiecewise1D:
@@ -199,19 +203,43 @@ class TestDataOracle:
             y = float(f(x)[0])
             assert lo[k, 0] - 1e-12 <= y <= hi[k, 0] + 1e-12
 
-    def test_image_rects_matches_image_rect(self, rng):
-        xs = rng.random((10, 2))
-        ys = rng.random((10, 2))
-        o = LipschitzDataOracle(xs, ys, 3.0)
-        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
-        lo, hi = o.image_rects(grid)
-        for k in range(grid.box_count):
-            r = o.image_rect(grid.box_rect(grid.multi_index(k)))
-            assert np.allclose(lo[k], r.lower)
-            assert np.allclose(hi[k], r.upper)
+
+def _mlp(rng):
+    return MlpOracle([(rng.normal(size=(8, 2)), rng.normal(size=8)),
+                      (rng.normal(size=(2, 8)), rng.normal(size=2))])
+
+
+def _data(rng):
+    xs = rng.random((50, 2)) * [90.0, 70.0]
+    return LipschitzDataOracle(xs, LeslieOracle().eval_batch(xs), 34.0)
+
+
+LESLIE_SPACE = PhaseSpace([0.0, 0.0], [90.0, 70.0])
+# face coordinates that are not dyadic fractions, so box widths vary in
+# the last bit
+ODD_SPACE = PhaseSpace([-0.3, 0.1], [0.7, 1.3])
 
 
 class TestImageRectGeneric:
+    @pytest.mark.parametrize("make, space, depths", [
+        (lambda rng: LeslieOracle((23.5, 23.5)), LESLIE_SPACE, [4, 5]),
+        (lambda rng: LeslieOracle((19.0, 27.0)), LESLIE_SPACE, [4, 5]),
+        (lambda rng: PiecewiseExample1D(1.5), PhaseSpace([-2.0], [2.0]), [6]),
+        (_mlp, ODD_SPACE, [4, 5]),
+        (lambda rng: CallableOracle(np.cos, 1.0, 2), ODD_SPACE, [3, 3]),
+        (_data, LESLIE_SPACE, [4, 5]),
+    ], ids=["leslie-equal", "leslie-unequal", "piecewise", "mlp", "callable",
+            "data"])
+    def test_image_rect_is_row_of_image_rects(self, make, space, depths):
+        o = make(np.random.default_rng(5))
+        grid = CubicalGrid(space, depths)
+        lo, hi = o.image_rects(grid)
+        assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
+        for k in range(grid.box_count):
+            r = o.image_rect(grid.box_rect(grid.multi_index(k)))
+            assert np.array_equal(r.lower, lo[k])
+            assert np.array_equal(r.upper, hi[k])
+
     def test_degenerate_box_has_zero_padding(self):
         o = LeslieOracle((23.5, 23.5))
         p = np.array([3.0, 4.0])

@@ -152,12 +152,3 @@ class TestAdjacency:
                 [g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                 grid.shape)
             assert np.array_equal(row, want)  # sorted, in ravel order
-
-    def test_edge_list_export(self, tmp_path):
-        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])
-        bm = build_boxmap(grid, identity_oracle(), 0.0)
-        path = tmp_path / "edges.txt"
-        bm.export_edge_list(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == bm.total_edges()
-        assert lines[0] == "0 0"

@@ -68,9 +68,6 @@ class PhaseSpace:
     def dimension(self) -> int:
         return self.lower.size
 
-    def as_rect(self) -> Rect:
-        return Rect(self.lower, self.upper)
-
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))

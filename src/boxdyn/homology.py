@@ -1,13 +1,17 @@
 """Cubical relative homology over a prime field and induced maps.
 
-Cells of the grid's cubical complex are keyed by (anchor, mask): the
-anchor is a vertex-lattice multi-index and the mask a bitset of the axes
-along which the cell extends.  The relative complex of a pair of box
-sets (P1, P0) is realized as the quotient: a cell survives iff it has at
-least one coface box in P1 \\ P0 and none in P0.  PairComplex builds it
-in a few numpy passes over flat integer codes (dimension, then the
-anchor's vertex-lattice index, then the mask), whose sorted order is the
-reduction order.
+A cell of the grid's cubical complex is an integer code
+(dim * n_vertices + anchor) * 2^d + mask, with the linear index of its
+lowest vertex on the vertex lattice as anchor and a bitset of the axes
+along which it extends as mask; sorted codes run by dimension, then
+anchor, then mask.  The relative complex of a pair of box sets (P1, P0)
+is realized as the quotient: a cell survives iff it has at least one
+coface box in P1 \\ P0 and none in P0.  PairComplex builds the closure
+(every face of a box of P1 \\ P0), its coface boxes and the boundary of
+every closure cell in a few numpy passes.  A quotient cell is its
+position 0..n-1 in closure order, which is the reduction order: chains
+over the quotient are dicts position -> coefficient, and chains in the
+full complex, where the chain map is built, dicts code -> coefficient.
 
 Homology comes from a column reduction R = D V that runs from the top
 dimension down with clearing (Chen and Kerber, Persistent homology
@@ -37,34 +41,6 @@ import numpy as np
 from .errors import BoxdynError, CarrierNotAcyclic
 from .grid import CubicalGrid
 from .outer_approx import BoxMap
-
-# a cell is (anchor, mask); anchor a tuple over the vertex lattice,
-# mask a bitset of extended axes.  chains are dicts cell -> coeff in F_p.
-
-
-def cell_dim(cell) -> int:
-    return bin(cell[1]).count("1")
-
-
-def cell_faces(cell):
-    """Boundary faces with signs: del(sigma) = sum sign * face."""
-    anchor, mask = cell
-    out = []
-    below = 0
-    for i in range(len(anchor)):
-        bit = 1 << i
-        if mask & bit:
-            sign = 1 if below % 2 == 0 else -1
-            upper = tuple(a + 1 if j == i else a for j, a in enumerate(anchor))
-            out.append(((upper, mask & ~bit), sign))
-            out.append(((anchor, mask & ~bit), -sign))
-            below += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# F_p helpers: dense elimination (index matrices, test oracles) and
-# the sparse chain update
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -122,9 +98,6 @@ def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
             dst.pop(key, None)
 
 
-# ---------------------------------------------------------------------------
-
-
 def _box_mask(grid: CubicalGrid, boxes) -> np.ndarray:
     """Membership of linear box indices; the extra last slot stays False
     and answers for the index -1."""
@@ -143,12 +116,15 @@ class PairComplex:
     of such a cell is a region box, so the complex is small whenever the
     region is, regardless of how large P1 is.
 
-    closure holds the code of every face of a region box, in reduction
-    order; a code is (dim * n_vertices + anchor) * 2^d + mask, with the
-    anchor's linear index on the vertex lattice.  cofaces[i] lists the
-    linear indices of closure cell i's coface boxes, -1 where a box is
-    absent (off the grid, or not a coface because the cell extends along
-    that axis); column k is the box anchor - bits(k).
+    closure holds the sorted codes of every face of a region box.  By
+    closure row: cofaces[r] lists the linear indices of the coface boxes,
+    -1 where a box is absent (off the grid, or not a coface because the
+    cell extends along that axis), column k being the box anchor -
+    bits(k); faces[r, 2i] and faces[r, 2i + 1] are the rows of the upper
+    and lower face along axis i, -1 where the cell does not extend along
+    it, with signs in signs[r] (0 for no face); position[r] is the row's
+    quotient position or -1, and its extra last slot answers for -1.
+    rows and dims give each quotient cell's closure row and dimension.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
@@ -162,8 +138,6 @@ class PairComplex:
             raise BoxdynError("P0 must be a subset of P1")
         region = np.flatnonzero(self._in_p1 & ~in_p0)
         self.p1 = frozenset(np.flatnonzero(self._in_p1).tolist())
-        self.p0 = frozenset(np.flatnonzero(in_p0).tolist())
-        self.region = frozenset(region.tolist())
 
         d = grid.dimension
         shape = np.asarray(grid.shape, dtype=np.int64)
@@ -172,7 +146,7 @@ class PairComplex:
         self._n_vertices = int(np.prod(self._vshape))
         # bits[k, i] = bit i of k, for k < 2^d
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
-        self._popcount = bits.sum(axis=1)
+        popcount = bits.sum(axis=1)
 
         # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0
         o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
@@ -181,24 +155,38 @@ class PairComplex:
         masks = np.tile(m, region.size)
         lin = np.ravel_multi_index(tuple(anchors.T), self._vshape)
         self.closure = np.unique(
-            ((self._popcount[masks] * self._n_vertices + lin) << d) + masks)
+            ((popcount[masks] * self._n_vertices + lin) << d) + masks)
 
         anchor, mask = self._decode(self.closure)
         boxes = anchor[:, None, :] - bits  # (n, 2^d, d)
         present = (((mask[:, None] & np.arange(1 << d)) == 0)
                    & np.all((boxes >= 0) & (boxes < shape), axis=2))
-        strides = np.array([int(np.prod(grid.shape[i + 1:])) for i in range(d)],
-                           dtype=np.int64)
-        self.cofaces = np.where(present, boxes @ strides, -1)
+        self.cofaces = np.where(present, np.ravel_multi_index(
+            tuple(np.moveaxis(boxes, 2, 0)), grid.shape, mode="clip"), -1)
+
+        # along an extended axis i the lower face keeps the anchor and the
+        # upper one is a vertex stride further; the upper face's sign is
+        # (-1)^(extended axes below i), the lower face's the opposite.  The
+        # closure holds every face of its cells, so each search hits.
+        n = self.closure.size
+        self.faces = np.full((n, 2 * d), -1, dtype=np.int64)
+        self.signs = np.zeros((n, 2 * d), dtype=np.int64)
+        for i in range(d):
+            j = np.flatnonzero((mask >> i) & 1)
+            lower = self.closure[j] - (self._n_vertices << d) - (1 << i)
+            upper = lower + (self._vstrides[i] << d)
+            sign = 1 - 2 * (popcount[mask[j] & ((1 << i) - 1)] % 2)
+            self.faces[j, 2 * i] = np.searchsorted(self.closure, upper)
+            self.faces[j, 2 * i + 1] = np.searchsorted(self.closure, lower)
+            self.signs[j, 2 * i] = sign
+            self.signs[j, 2 * i + 1] = -sign
 
         keep = (self._in_p1[self.cofaces].any(axis=1)
                 & ~in_p0[self.cofaces].any(axis=1))
-        self._rows = np.flatnonzero(keep)  # closure rows of the quotient
-        self._keys = self.closure[self._rows]
-        self.dims = self._popcount[mask[self._rows]]
-        self.cells = [(tuple(a), int(b)) for a, b in
-                      zip(anchor[self._rows].tolist(), mask[self._rows].tolist())]
-        self.cell_index = {c: i for i, c in enumerate(self.cells)}
+        self.rows = np.flatnonzero(keep)
+        self.position = np.full(n + 1, -1, dtype=np.int64)
+        self.position[self.rows] = np.arange(self.rows.size)
+        self.dims = popcount[mask[self.rows]]
 
     def _decode(self, codes: np.ndarray):
         """(anchors (n, d), masks (n,)) of an array of codes."""
@@ -207,110 +195,65 @@ class PairComplex:
         anchors = np.stack(np.unravel_index(lin, self._vshape), axis=1)
         return anchors, codes & ((1 << d) - 1)
 
-    def _code(self, cell) -> int:
-        anchor, mask = cell
-        lin = sum(a * s for a, s in zip(anchor, self._vstrides))
-        return ((cell_dim(cell) * self._n_vertices + lin) << len(anchor)) + mask
-
-    def _closure_row(self, cell) -> int:
-        """Row of a cell in closure (and cofaces)."""
-        code = self._code(cell)
-        row = int(np.searchsorted(self.closure, code))
-        if row == self.closure.size or self.closure[row] != code:
-            raise KeyError(cell)
-        return row
-
-    def _closure_cell(self, row: int):
-        """The (anchor, mask) cell at a closure row."""
-        anchor, mask = self._decode(self.closure[row:row + 1])
+    def cell(self, code: int):
+        """The (anchor tuple, mask) form of a code, for messages."""
+        anchor, mask = self._decode(np.array([code], dtype=np.int64))
         return tuple(anchor[0].tolist()), int(mask[0])
 
+    def quotient(self, chain: dict) -> dict:
+        """A chain over codes restricted to the quotient, over positions."""
+        out = {}
+        for code, v in chain.items():
+            row = int(self.closure.searchsorted(code))
+            if (row < self.closure.size and self.closure[row] == code
+                    and self.position[row] >= 0):
+                out[int(self.position[row])] = v
+        return out
+
+    def boundaries(self, cells) -> list:
+        """del of the quotient cells at the given positions, within the
+        quotient, as dicts position -> sign."""
+        rows = self.rows[cells]
+        faces = self.position[self.faces[rows]]
+        inside = faces >= 0
+        f, s = faces[inside].tolist(), self.signs[rows][inside].tolist()
+        ends = np.cumsum(inside.sum(axis=1)).tolist()
+        return [dict(zip(f[a:b], s[a:b])) for a, b in zip([0] + ends, ends)]
+
     def __len__(self):
-        return len(self.cells)
+        return self.rows.size
 
     def n_cells(self, dim: int) -> int:
         return int(np.count_nonzero(self.dims == dim))
-
-    def boundary_chain(self, cell) -> dict:
-        """Boundary within the quotient: faces outside the complex vanish."""
-        p = self.prime
-        out = {}
-        for face, sign in cell_faces(cell):
-            if face in self.cell_index:
-                out[face] = (out.get(face, 0) + sign) % p
-        return {c: v for c, v in out.items() if v}
-
-    def _boundary_columns(self):
-        """Sparse boundary matrix over cell positions, from the codes.
-
-        Returns (indptr, rows, values) as lists: column j's nonzeros are
-        rows[indptr[j]:indptr[j + 1]], faces outside the complex dropped.
-        """
-        d = self.grid.dimension
-        anchor_step = np.asarray(self._vstrides, dtype=np.int64) << d
-        masks = self._keys & ((1 << d) - 1)
-        cols, rows, vals = [], [], []
-        for i in range(d):
-            j = np.flatnonzero((masks >> i) & 1)
-            # (-1)^(extended axes below i); the upper face gets it
-            sign = 1 - 2 * (self._popcount[masks[j] & ((1 << i) - 1)] % 2)
-            lower = self._keys[j] - (self._n_vertices << d) - (1 << i)
-            for face, s in ((lower + anchor_step[i], sign), (lower, -sign)):
-                pos = np.searchsorted(self._keys, face)
-                hit = pos < self._keys.size
-                hit[hit] = self._keys[pos[hit]] == face[hit]
-                cols.append(j[hit])
-                rows.append(pos[hit])
-                vals.append(s[hit] % self.prime)
-        cols = np.concatenate(cols)
-        order = np.argsort(cols, kind="stable")
-        indptr = np.zeros(len(self.cells) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=len(self.cells)), out=indptr[1:])
-        return (indptr.tolist(), np.concatenate(rows)[order].tolist(),
-                np.concatenate(vals)[order].tolist())
-
-    def boundary_matrix(self, dim: int) -> np.ndarray:
-        """Dense boundary matrix C_dim -> C_{dim-1}; rows/cols in cell order."""
-        rows = [c for c in self.cells if cell_dim(c) == dim - 1]
-        cols = [c for c in self.cells if cell_dim(c) == dim]
-        ridx = {c: i for i, c in enumerate(rows)}
-        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for jc, cell in enumerate(cols):
-            for face, v in self.boundary_chain(cell).items():
-                mat[ridx[face], jc] = v
-        return mat
 
 
 class HomologyBasis:
     """Homology of a PairComplex via sparse column reduction over F_p.
 
-    The boundary matrix has its columns ordered by dimension then lex
-    (persistence-style, R = D V).  Dimensions are reduced from the top
-    down; within one, columns reduce left to right against earlier
-    columns of the same dimension.  A column whose index is already the
-    pivot (lowest row) of a column one dimension up is a cycle and is
-    cleared without being reduced.  Columns with zero reduced boundary
-    whose own index is never a pivot are the essential cells; their V
-    columns are representative cycles.  project expresses any relative
-    cycle in those representatives by repeated pivot elimination.
+    Columns are in position order (R = D V), reduced with clearing as
+    the module docstring describes.  A column with zero reduced boundary
+    whose own index is never a pivot is an essential cell; its V column
+    is a representative cycle, and the only V column kept once its
+    dimension is reduced.  project expresses any relative cycle in the
+    representatives by repeated pivot elimination.
     """
 
     def __init__(self, complex: PairComplex):
         self.complex = complex
         p = complex.prime
-        indptr, rows, vals = complex._boundary_columns()
         bounds = np.searchsorted(complex.dims, np.arange(complex.grid.dimension + 2))
 
         R = {}  # nonzero reduced boundary columns, dict row -> coeff
-        V = {}  # change-of-basis columns of the pivot and essential columns
         pivot_of = {}  # low row -> column index with that pivot
-        self._by_dim = {}
+        self._V = {}  # dim -> {essential column: representative cycle}
         for dim in reversed(range(complex.grid.dimension + 1)):
-            for j in range(int(bounds[dim]), int(bounds[dim + 1])):
-                if j in pivot_of:
-                    continue  # cleared: its reduced boundary is zero
-                a, b = indptr[j], indptr[j + 1]
-                rj = dict(zip(rows[a:b], vals[a:b]))
+            a, b = int(bounds[dim]), int(bounds[dim + 1])
+            V = {}  # change-of-basis columns of this dimension
+            essential = {}
+            # a column on a pivot row of the dimension above is cleared:
+            # its reduced boundary is zero
+            todo = [j for j in range(a, b) if j not in pivot_of]
+            for j, rj in zip(todo, complex.boundaries(todo)):
                 vj = {j: 1}
                 while rj:
                     low = max(rj)
@@ -320,42 +263,33 @@ class HomologyBasis:
                     coef = (rj[low] * _inv_mod(R[k][low], p)) % p
                     _axpy(rj, R[k], -coef, p)
                     _axpy(vj, V[k], -coef, p)
-                V[j] = vj
                 if rj:
                     R[j] = rj
+                    V[j] = vj
                     pivot_of[max(rj)] = j
                 else:
                     # only a column one dimension up, all reduced by
                     # now, could have had its pivot on row j
-                    self._by_dim.setdefault(dim, []).append(j)
+                    essential[j] = vj
+            self._V[dim] = essential
 
         self._R = R
-        self._V = V
         self._pivot_of = pivot_of
 
     def rank(self, dim: int) -> int:
-        return len(self._by_dim.get(dim, []))
+        return len(self._V.get(dim, ()))
 
     def representatives(self, dim: int):
-        """Cycle chains (cell -> coeff dicts) generating H_dim."""
-        cells = self.complex.cells
-        out = []
-        for j in self._by_dim.get(dim, []):
-            out.append({cells[r]: v for r, v in self._V[j].items()})
-        return out
+        """Cycle chains (position -> coeff dicts) generating H_dim."""
+        return list(self._V.get(dim, {}).values())
 
     def project(self, chain: dict, dim: int) -> np.ndarray:
         """Coordinates of a relative cycle in the dim-homology basis."""
         p = self.complex.prime
-        idx = self.complex.cell_index
-        vec = {}
-        for cell, v in chain.items():
-            v %= p
-            if v:
-                vec[idx[cell]] = v
-        coords = np.zeros(self.rank(dim), dtype=np.int64)
-        order = self._by_dim.get(dim, [])
-        pos = {j: i for i, j in enumerate(order)}
+        vec = {j: v % p for j, v in chain.items() if v % p}
+        reps = self._V.get(dim, {})
+        coords = np.zeros(len(reps), dtype=np.int64)
+        pos = {j: i for i, j in enumerate(reps)}
         while vec:
             low = max(vec)
             k = self._pivot_of.get(low)
@@ -367,7 +301,7 @@ class HomologyBasis:
                 # essential representative V_low has unit pivot at its own index
                 coef = vec[low] % p
                 coords[pos[low]] = (coords[pos[low]] + coef) % p
-                src = self._V[low]
+                src = reps[low]
             else:
                 raise BoxdynError("chain is not a relative cycle")
             _axpy(vec, src, -coef, p)
@@ -377,111 +311,105 @@ class HomologyBasis:
         return [self.rank(k) for k in range(max_dim + 1)]
 
 
-# ---------------------------------------------------------------------------
-# carriers and the chain map
-
-
-def _contract(chain: dict, lo: np.ndarray, p: int) -> dict:
+def _contract(chain: dict, lo, complex: PairComplex) -> dict:
     """Chain contraction of the full rectangle complex with base vertex lo.
 
     Solves del(c) = z for any cycle z (dim >= 1) or augmentation-zero
-    0-chain z supported in the closed rectangle anchored at lo.  Tensor
-    contraction: each axis collapses to its left endpoint in turn.
+    0-chain z over codes, supported in the closed rectangle anchored at
+    the vertex multi-index lo.  Tensor contraction: each axis collapses
+    to its left endpoint in turn.
     """
+    p, d = complex.prime, complex.grid.dimension
+    n_vertices, vshape, vstrides = complex._n_vertices, complex._vshape, complex._vstrides
+    up = n_vertices << d  # one dimension up, same anchor and mask
     out = {}
-    for (anchor, mask), coef in chain.items():
+    for code, coef in chain.items():
         coef %= p
         if not coef:
             continue
-        d = len(anchor)
+        lin = (code >> d) % n_vertices
         for i in range(d):
-            if (mask >> i) & 1:
+            bit = 1 << i
+            if code & bit:
                 break  # h of an edge factor is zero; later axes blocked too
-            lo_i = int(lo[i])
-            base = tuple(int(lo[k]) if k < i else anchor[k] for k in range(d))
-            for j in range(lo_i, anchor[i]):
-                a = tuple(j if k == i else base[k] for k in range(d))
-                key = (a, mask | (1 << i))
+            shift = lo[i] - lin // vstrides[i] % vshape[i]
+            step = vstrides[i] << d
+            # the edges along axis i from lo[i] up to the anchor
+            for k in range(shift, 0):
+                key = code + up + bit + k * step
                 nv = (out.get(key, 0) + coef) % p
                 if nv:
                     out[key] = nv
                 else:
                     out.pop(key, None)
+            code += shift * step
+            lin += shift * vstrides[i]
     return out
 
 
-class _LazyPhi(dict):
-    """phi on the quotient cells, computed on first lookup and memoized.
+class ChainMapData(dict):
+    """phi on the quotient cells, position -> chain over positions,
+    computed on first lookup and memoized.
 
-    A cell's image in the full complex depends only on its carrier
-    rectangle and the images of its faces, so it is built faces first,
-    on the cell's face closure only.  Projected to the quotient, it must
-    satisfy del(phi) = phi(del) before it is stored.
+    A cell's image in the full complex, a chain over codes, depends only
+    on its carrier rectangle and the images of its faces, so it is built
+    faces first, on the cell's face closure only.  Restricted to the
+    quotient, it must satisfy del(phi) = phi(del) before it is stored.
     """
 
     def __init__(self, complex: PairComplex, lo: np.ndarray, hi: np.ndarray,
                  vertex_rule: str):
         super().__init__()
         self.complex = complex
-        self._lo = lo
-        self._hi = hi
-        self._vertex_rule = vertex_rule
-        self._full = {}  # closure cell -> phi in the full complex
+        self._lo = lo  # carriers' lower corners per closure row
+        corner = lo if vertex_rule == "smallest" else hi + 1
+        self._vertex = (corner @ np.array(complex._vstrides)) << complex.grid.dimension
+        self._full = {}  # closure row -> phi in the full complex
 
-    def _phi_full(self, cell) -> dict:
-        out = self._full.get(cell)
+    def _phi_full(self, row: int) -> dict:
+        out = self._full.get(row)
         if out is None:
-            row = self.complex._closure_row(cell)
-            lo = self._lo[row]
-            if cell[1] == 0:
-                corner = lo if self._vertex_rule == "smallest" else self._hi[row] + 1
-                out = {(tuple(int(v) for v in corner), 0): 1}
-            else:
+            cx = self.complex
+            if cx.closure[row] & ((1 << cx.grid.dimension) - 1):  # not a vertex
                 rhs = {}
-                for face, sign in cell_faces(cell):
-                    _axpy(rhs, self._phi_full(face), sign, self.complex.prime)
-                out = _contract(rhs, lo, self.complex.prime)
-            self._full[cell] = out
+                for face, sign in zip(cx.faces[row].tolist(), cx.signs[row].tolist()):
+                    if sign:
+                        _axpy(rhs, self._phi_full(face), sign, cx.prime)
+                out = _contract(rhs, self._lo[row].tolist(), cx)
+            else:
+                out = {int(self._vertex[row]): 1}
+            self._full[row] = out
         return out
 
-    def __missing__(self, cell):
-        idx = self.complex.cell_index
-        if cell not in idx:
-            raise KeyError(cell)
-        image = {c: v for c, v in self._phi_full(cell).items() if c in idx}
-        if cell[1]:
-            self._check_commutes(cell, image)
-        self[cell] = image
+    def __missing__(self, j):
+        cx = self.complex
+        if not 0 <= j < len(cx):
+            raise KeyError(j)
+        row = int(cx.rows[j])
+        image = cx.quotient(self._phi_full(row))
+        if cx.dims[j]:
+            self._check_commutes(j, image)
+        self[j] = image
         return image
 
-    def _check_commutes(self, cell, image: dict):
+    def _check_commutes(self, j: int, image: dict):
         """del(phi) = phi(del) must hold exactly; violations are bugs."""
-        complex = self.complex
-        p = complex.prime
+        cx = self.complex
+        *image_bd, own_bd = cx.boundaries([*image, j])
         lhs = {}
-        for c2, v in image.items():
-            _axpy(lhs, complex.boundary_chain(c2), v, p)
+        for v, bd in zip(image.values(), image_bd):
+            _axpy(lhs, bd, v, cx.prime)
         rhs = {}
-        for face, sign in cell_faces(cell):
-            if face in complex.cell_index:
-                _axpy(rhs, self[face], sign, p)
+        for face, sign in own_bd.items():
+            _axpy(rhs, self[face], sign, cx.prime)
         if lhs != rhs:
-            raise BoxdynError(f"chain map does not commute with boundary at {cell}")
-
-
-class ChainMapData:
-    """phi per cell of a relative complex; phi[cell] is computed on
-    first lookup."""
-
-    def __init__(self, complex: PairComplex, phi: dict):
-        self.complex = complex
-        self.phi = phi  # cell -> chain over complex cells (quotient)
+            raise BoxdynError("chain map does not commute with boundary at "
+                              f"{cx.cell(cx.closure[cx.rows[j]])}")
 
     def apply(self, chain: dict) -> dict:
-        p = self.complex.prime
         out = {}
-        for cell, coef in chain.items():
-            _axpy(out, self.phi[cell], coef, p)
+        for j, coef in chain.items():
+            _axpy(out, self[j], coef, self.complex.prime)
         return out
 
 
@@ -489,11 +417,11 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
               vertex_rule: str = "smallest") -> ChainMapData:
     """Endomorphism of the relative chain complex carried by the box map.
 
-    Built in the full cubical complex and projected to the quotient;
+    Built in the full cubical complex and restricted to the quotient;
     cells outside the complex are dropped.  Every carrier is a box
     rectangle, where the boundary equation is solved by the chain
     contraction.  The carriers of the whole closure are computed and
-    checked here; phi itself is evaluated on demand (ChainMapData.phi).
+    checked here; phi itself is evaluated on demand (cm[position]).
     vertex_rule "largest" picks the opposite corner in dim 0 (used to
     confirm choice-independence of the induced homology map).
     """
@@ -503,7 +431,7 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
 
     # guard: a region box adjacent to an exterior box would let chains
     # escape the quotient through the shared face; refuse loudly.
-    qcof = cof[complex._rows]
+    qcof = cof[complex.rows]
     if ((qcof >= 0) & ~in_p1[qcof] & exterior[qcof]).any():
         raise BoxdynError(
             "index pair touches exterior boxes; enlarge the domain "
@@ -521,10 +449,10 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     empty = (~used.any(axis=1) | (lo > hi).any(axis=1)
              | (used & exterior[p1cof]).any(axis=1))
     if empty.any():
-        raise CarrierNotAcyclic(complex._closure_cell(int(np.argmax(empty))),
+        raise CarrierNotAcyclic(complex.cell(complex.closure[np.argmax(empty)]),
                                 "carrier is empty")
 
-    return ChainMapData(complex, _LazyPhi(complex, lo, hi, vertex_rule))
+    return ChainMapData(complex, lo, hi, vertex_rule)
 
 
 def induced_homology_map(cm: ChainMapData, basis: HomologyBasis) -> dict:

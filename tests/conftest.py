@@ -71,10 +71,69 @@ def brute_sccs(n, edges):
     return components, recurrent
 
 
+def cell_faces(cell):
+    """Boundary faces with signs of an (anchor, mask) cell: del(sigma) =
+    sum sign * face.  The scalar reference for PairComplex.faces/signs."""
+    anchor, mask = cell
+    out = []
+    below = 0
+    for i in range(len(anchor)):
+        bit = 1 << i
+        if mask & bit:
+            sign = 1 if below % 2 == 0 else -1
+            upper = tuple(a + 1 if j == i else a for j, a in enumerate(anchor))
+            out.append(((upper, mask & ~bit), sign))
+            out.append(((anchor, mask & ~bit), -sign))
+            below += 1
+    return out
+
+
+def decode(complex, code):
+    """(anchor, mask) of a cell code (dim * n_vertices + anchor) * 2^d +
+    mask, the anchor a multi-index on the vertex lattice."""
+    d = complex.grid.dimension
+    vshape = [int(s) + 1 for s in complex.grid.shape]
+    lin = (int(code) >> d) % math.prod(vshape)
+    anchor = []
+    for s in reversed(vshape):
+        lin, a = divmod(lin, s)
+        anchor.append(a)
+    return tuple(reversed(anchor)), int(code) & ((1 << d) - 1)
+
+
+def cells(complex):
+    """(anchor, mask) of each quotient cell, by position."""
+    return [decode(complex, code) for code in complex.closure[complex.rows]]
+
+
+def boundary_chains(complex):
+    """del of each quotient cell, by position, as dicts position -> coeff
+    over F_p: cell_faces with the faces outside the quotient dropped."""
+    named = cells(complex)
+    index = {c: j for j, c in enumerate(named)}
+    return [{index[f]: s % complex.prime for f, s in cell_faces(c) if f in index}
+            for c in named]
+
+
+def boundary_matrix(complex, dim):
+    """Dense boundary matrix C_dim -> C_{dim-1}, rows and columns in
+    position order, from cell_faces."""
+    rows = np.flatnonzero(complex.dims == dim - 1)
+    cols = np.flatnonzero(complex.dims == dim)
+    ridx = {int(j): i for i, j in enumerate(rows)}
+    chains = boundary_chains(complex)
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for jc, j in enumerate(cols):
+        for f, v in chains[j].items():
+            mat[ridx[f], jc] = v
+    return mat
+
+
 def brute_betti(complex, max_dim):
     """Relative Betti numbers via dense rank-nullity over F_p.
 
-    betti_k = dim C_k - rank d_k - rank d_{k+1}; independent of the
+    betti_k = dim C_k - rank d_k - rank d_{k+1}; the boundary matrices
+    come from cell_faces, independent of the code arithmetic and of the
     column-reduction path used by HomologyBasis.
     """
     from boxdyn.homology import rank_mod_p
@@ -82,8 +141,8 @@ def brute_betti(complex, max_dim):
     out = []
     for k in range(max_dim + 1):
         nk = complex.n_cells(k)
-        rk = rank_mod_p(complex.boundary_matrix(k), complex.prime)
-        rk1 = rank_mod_p(complex.boundary_matrix(k + 1), complex.prime)
+        rk = rank_mod_p(boundary_matrix(complex, k), complex.prime)
+        rk1 = rank_mod_p(boundary_matrix(complex, k + 1), complex.prime)
         out.append(nk - rk - rk1)
     return out
 

@@ -34,9 +34,7 @@ from boxdyn import (
     shift_class,
     shift_invariant_factors,
 )
-from boxdyn.homology import cell_faces
-
-from conftest import brute_betti, brute_sccs, digraph_boxmap
+from conftest import boundary_chains, brute_betti, brute_sccs, digraph_boxmap
 
 
 def report(n, checks):
@@ -276,19 +274,28 @@ class TestCriterion5:
                        "across 5 oracle types", ok and cases >= 200)])
 
     def test_d_boundary_and_chain_map_identities(self, rng):
-        from boxdyn.homology import cell_dim
         ok = True
-        # del(del) = 0 on 170 random cells across dimensions 1..4
+        # del(del) = 0 on the closure boundary of 170 random complexes
+        # across dimensions 1..4
         p = 5
         for _ in range(170):
             d = int(rng.integers(1, 5))
-            anchor = tuple(int(v) for v in rng.integers(0, 4, size=d))
-            mask = int(rng.integers(1, 1 << d))
-            acc = {}
-            for f1, s1 in cell_faces((anchor, mask)):
-                for f2, s2 in cell_faces(f1):
-                    acc[f2] = (acc.get(f2, 0) + s1 * s2) % p
-            ok &= all(v == 0 for v in acc.values())
+            g = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d),
+                            rng.integers(1, 3 if d < 4 else 2, size=d))
+            p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count + 1),
+                            replace=False)
+            p0 = [int(b) for b in p1 if rng.random() < 0.3]
+            cx = PairComplex(g, p1, p0, p)
+            faces, signs = cx.faces.tolist(), cx.signs.tolist()
+            for row in range(len(faces)):
+                acc = {}
+                for f1, s1 in zip(faces[row], signs[row]):
+                    if f1 < 0:
+                        continue
+                    for f2, s2 in zip(faces[f1], signs[f1]):
+                        if f2 >= 0:
+                            acc[f2] = (acc.get(f2, 0) + s1 * s2) % p
+                ok &= all(v == 0 for v in acc.values())
         # del(phi) = phi(del) on 30 constructed chain maps
         g = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
         for _ in range(30):
@@ -298,13 +305,14 @@ class TestCriterion5:
             bm = build_boxmap(g, o, float(rng.uniform(0, 0.2)))
             cx = PairComplex(g, range(16), set())
             cm = chain_map(bm, cx)  # construction verifies the identity
-            for cell in cx.cells:
+            bd = boundary_chains(cx)
+            for cell in range(len(cx)):
                 lhs = {}
-                for c2, v in cm.phi[cell].items():
-                    for face, bv in cx.boundary_chain(c2).items():
+                for c2, v in cm[cell].items():
+                    for face, bv in bd[c2].items():
                         lhs[face] = (lhs.get(face, 0) + v * bv) % cx.prime
                 lhs = {c: v for c, v in lhs.items() if v}
-                ok &= lhs == cm.apply(cx.boundary_chain(cell))
+                ok &= lhs == cm.apply(bd[cell])
         report("5d", [("del(del)=0 and del(phi)=phi(del), 200 cases", ok)])
 
     def test_e_shift_class_similarity_invariance(self, rng):

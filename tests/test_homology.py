@@ -16,15 +16,14 @@ from boxdyn import (
     rank_mod_p,
     solve_mod_p,
 )
+from boxdyn import homology
 from boxdyn.errors import BoxdynError, CarrierNotAcyclic
-from boxdyn.homology import (
-    _contract,
-    cell_dim,
-    cell_faces,
-)
+from boxdyn.homology import _contract
 from boxdyn.outer_approx import BoxMap
 
-from conftest import brute_betti, carrier, cell_coface_boxes, charpoly_mod_p
+from conftest import (boundary_chains, boundary_matrix, brute_betti, carrier,
+                      cell_coface_boxes, cell_faces, cells, charpoly_mod_p,
+                      decode)
 
 
 def grid1d(depth=3, lo=0.0, hi=1.0):
@@ -44,12 +43,13 @@ class TestCells:
                                           [2, 2, 2]), (3, 0, 2),
                               [8, 12, 6, 1])):
             cx = PairComplex(g, [g.linearize(j)], set())
+            named = cells(cx)
             assert len(cx.closure) == 3 ** g.dimension
-            assert len(cx.cells) == 3 ** g.dimension
-            assert [sum(1 for c in cx.cells if cell_dim(c) == k)
+            assert len(named) == 3 ** g.dimension
+            assert [sum(1 for _, m in named if bin(m).count("1") == k)
                     for k in range(g.dimension + 1)] == counts
-            assert ((tuple(a + 1 for a in j), 0) in cx.cell_index
-                    and (j, (1 << g.dimension) - 1) in cx.cell_index)
+            assert ((tuple(a + 1 for a in j), 0) in named
+                    and (j, (1 << g.dimension) - 1) in named)
 
     def test_boundary_of_boundary_vanishes(self, rng):
         p = 5
@@ -62,6 +62,29 @@ class TestCells:
                 for face2, s2 in cell_faces(face):
                     acc[face2] = (acc.get(face2, 0) + s1 * s2) % p
             assert all(v == 0 for v in acc.values())
+
+    def test_closure_boundary_matches_reference(self):
+        """Decoded, the faces and signs of every closure cell are its
+        cell_faces, and the quotient boundaries drop exactly the faces
+        outside the quotient; random pairs in dimensions 1-3."""
+        rng = np.random.default_rng(11)
+        for depths in ([4], [2, 3], [1, 2, 1]):
+            g = CubicalGrid(PhaseSpace([0.0] * len(depths), [1.0] * len(depths)),
+                            depths)
+            for _ in range(10):
+                p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count + 1),
+                                replace=False)
+                p0 = [int(b) for b in p1 if rng.random() < 0.3]
+                cx = PairComplex(g, p1, p0)
+                for row, code in enumerate(cx.closure):
+                    faces, signs = cx.faces[row], cx.signs[row]
+                    got = {decode(cx, cx.closure[f]): int(s)
+                           for f, s in zip(faces, signs) if f >= 0}
+                    assert got == dict(cell_faces(decode(cx, code)))
+                    assert not signs[faces < 0].any()
+                got = [{j: s % cx.prime for j, s in bd.items()}
+                       for bd in cx.boundaries(np.arange(len(cx)))]
+                assert got == boundary_chains(cx)
 
 
 class TestElimination:
@@ -139,8 +162,8 @@ class TestPairComplex:
             p0 = set(int(b) for b in boxes if rng.random() < 0.3)
             cx = PairComplex(g, boxes, p0)
             for dim in range(1, 3):
-                d1 = cx.boundary_matrix(dim)
-                d2 = cx.boundary_matrix(dim + 1)
+                d1 = boundary_matrix(cx, dim)
+                d2 = boundary_matrix(cx, dim + 1)
                 if d1.size and d2.size:
                     assert not ((d1 @ d2) % cx.prime).any()
 
@@ -157,17 +180,30 @@ class TestPairComplex:
             basis = HomologyBasis(cx)
             assert basis.betti_numbers(2) == brute_betti(cx, 2)
 
+    def test_only_representatives_keep_v_columns(self):
+        """Once the reduction ends, the stored V columns are the
+        representatives: as many as the Betti numbers sum to."""
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            g = grid2d(2, 2)
+            boxes = rng.choice(16, size=rng.integers(1, 14), replace=False)
+            p0 = [int(b) for b in boxes if rng.random() < 0.35]
+            basis = HomologyBasis(PairComplex(g, boxes, p0))
+            stored = sum(len(cols) for cols in basis._V.values())
+            assert stored == sum(basis.betti_numbers(2))
+
     def test_representatives_are_cycles(self, rng):
         g = grid2d(2, 2)
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
                 if not (1 <= i <= 2 and 1 <= j <= 2)]
         cx = PairComplex(g, ring, set())
         basis = HomologyBasis(cx)
+        bd = boundary_chains(cx)
         for dim in range(3):
             for rep in basis.representatives(dim):
                 acc = {}
                 for cell, v in rep.items():
-                    for face, bv in cx.boundary_chain(cell).items():
+                    for face, bv in bd[cell].items():
                         acc[face] = (acc.get(face, 0) + v * bv) % cx.prime
                 assert all(x == 0 for x in acc.values())
 
@@ -177,8 +213,9 @@ class TestPairComplex:
                 if not (1 <= i <= 2 and 1 <= j <= 2)]
         cx = PairComplex(g, ring, set())
         basis = HomologyBasis(cx)
-        two_cell = next(c for c in cx.cells if cell_dim(c) == 2)
-        coords = basis.project(cx.boundary_chain(two_cell), 1)
+        two_cell = next(j for j, (_, m) in enumerate(cells(cx))
+                        if bin(m).count("1") == 2)
+        coords = basis.project(boundary_chains(cx)[two_cell], 1)
         assert not coords.any()
 
 
@@ -187,8 +224,14 @@ class TestContraction:
         """del(contract(z)) == z for augmentation-zero vertex chains and
         cycles inside a rectangle block."""
         p = 5
+        complexes = {}  # d -> full complex on [0, 8]^d, code of each cell
         for _ in range(200):
             d = int(rng.integers(1, 3 + 1))
+            if d not in complexes:
+                g = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d), [3] * d)
+                cx = PairComplex(g, range(g.box_count), set(), p)
+                complexes[d] = cx, {decode(cx, c): int(c) for c in cx.closure}
+            cx, code_of = complexes[d]
             lo = rng.integers(0, 3, size=d)
             hi = lo + rng.integers(1, 4, size=d)
             # random 0-chain with zero augmentation, supported on vertices
@@ -200,10 +243,11 @@ class TestContraction:
                 w = verts[k + 1]
                 chain[(w, 0)] = (chain.get((w, 0), 0) - 1) % p
             chain = {c: v for c, v in chain.items() if v}
-            sol = _contract(chain, lo, p)
+            sol = _contract({code_of[c]: v for c, v in chain.items()},
+                            lo.tolist(), cx)
             acc = {}
-            for cell, v in sol.items():
-                for face, bv in cell_faces(cell):
+            for code, v in sol.items():
+                for face, bv in cell_faces(decode(cx, code)):
                     acc[face] = (acc.get(face, 0) + v * bv) % p
             acc = {c: v for c, v in acc.items() if v}
             assert acc == chain
@@ -232,7 +276,7 @@ class TestCarrier:
     def test_identity_carriers_contain_own_cell_boxes(self):
         bm, g = identity_map()
         cx = PairComplex(g, range(g.box_count), set())
-        for cell in cx.cells:
+        for cell in cells(cx):
             car = set(carrier(bm, cx, cell).tolist())
             for j in cell_coface_boxes(cell, g.shape):
                 assert g.linearize(j) in car
@@ -290,31 +334,33 @@ class TestChainMap:
             # use the full complex: P1 = all boxes (forward invariant)
             cx = PairComplex(g, range(16), set())
             cm = chain_map(bm, cx)
-            for cell in cx.cells:
+            bd = boundary_chains(cx)
+            for cell in range(len(cx)):
                 lhs = {}
-                for c2, v in cm.phi[cell].items():
-                    for face, bv in cx.boundary_chain(c2).items():
+                for c2, v in cm[cell].items():
+                    for face, bv in bd[c2].items():
                         nv = (lhs.get(face, 0) + v * bv) % cx.prime
                         lhs[face] = nv
                 lhs = {c: v for c, v in lhs.items() if v}
-                rhs = cm.apply(cx.boundary_chain(cell))
+                rhs = cm.apply(bd[cell])
                 assert lhs == rhs
 
     def test_phi_supported_in_declared_carrier(self):
         bm, g = identity_map()
         cx = PairComplex(g, range(g.box_count), set())
         cm = chain_map(bm, cx)
-        for cell in cx.cells:
+        named = cells(cx)
+        for pos, cell in enumerate(named):
             allowed = set(carrier(bm, cx, cell).tolist())
-            for (anchor, mask) in cm.phi[cell]:
+            for (anchor, mask) in (named[c2] for c2 in cm[pos]):
                 for j in cell_coface_boxes((anchor, mask), g.shape):
                     lin = g.linearize(j)
                     if lin in cx.p1:
                         pass  # coface box inside P1
             # support boxes of the image cells must be carried boxes
-            for c2 in cm.phi[cell]:
+            for c2 in cm[pos]:
                 covers = [g.linearize(j)
-                          for j in cell_coface_boxes(c2, g.shape)]
+                          for j in cell_coface_boxes(named[c2], g.shape)]
                 assert any(c in allowed for c in covers)
 
     @pytest.mark.parametrize("last_target, last_exterior", [(3, False),
@@ -331,7 +377,9 @@ class TestChainMap:
         bm = BoxMap(g, 0.0, jmin=ranges, jmax=ranges,
                     exterior=np.array([False] * 3 + [last_exterior]))
         cx = PairComplex(g, range(4), set())
-        assert HomologyBasis(cx).representatives(0) == [{((0,), 0): 1}]
+        named = cells(cx)
+        assert [{named[j]: v for j, v in rep.items()}
+                for rep in HomologyBasis(cx).representatives(0)] == [{((0,), 0): 1}]
         with pytest.raises(CarrierNotAcyclic) as exc:
             chain_map(bm, cx)
         assert exc.value.cell == ((3,), 0)
@@ -344,9 +392,34 @@ class TestChainMap:
                     jmax=np.array([[1], [1], [2], [0]]),
                     exterior=np.array([False, False, False, True]))
         cx = PairComplex(g, [0, 1, 2], set())
-        assert ((3,), 0) in cx.cell_index
+        assert ((3,), 0) in cells(cx)
         with pytest.raises(BoxdynError, match="index pair touches exterior"):
             chain_map(bm, cx)
+
+    def test_commute_check_fires(self, monkeypatch):
+        """A contraction that is off by one coefficient breaks
+        del(phi) = phi(del) on the H_2 representative of a 2-D repeller,
+        and the chain map refuses it."""
+        g = grid2d(3, 3)
+        bm = build_boxmap(g, CallableOracle(lambda x: 2.0 * x - 0.5, 2.0, 2), 0.0)
+        cond = condensation(bm)
+        pair = index_pair(bm, cond, cond.component_of(
+            g.linearize(g.box_containing([0.4, 0.4]))))
+        cx = PairComplex(g, pair.p1, pair.p0)
+        basis = HomologyBasis(cx)
+        assert induced_homology_map(chain_map(bm, cx), basis)[2].tolist() == [[1]]
+        contract = homology._contract
+
+        def corrupt(*args):
+            out = contract(*args)
+            if out:
+                key = next(iter(out))
+                out[key] = (out[key] + 1) % cx.prime
+            return out
+
+        monkeypatch.setattr(homology, "_contract", corrupt)
+        with pytest.raises(BoxdynError, match="does not commute"):
+            induced_homology_map(chain_map(bm, cx), basis)
 
     def test_vertex_rule_invariance_on_homology(self):
         g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [8])

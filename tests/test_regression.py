@@ -38,6 +38,15 @@ def test_piecewise_depth10_structure():
     assert len(mg.nodes) == 5
     assert labels == [("x - 1", "0"), ("0", "0"), ("0", "x - 1"),
                       ("0", "0"), ("x - 1", "0")]
+    # per dimension, the invariant factors (ascending coefficients over
+    # F_5) whose product is the label
+    assert [mg.index_of[q].invariant_factors for q in mg.nodes] == [
+        (((4, 1),), ()),
+        ((), ()),
+        ((), ((4, 1),)),
+        ((), ()),
+        (((4, 1),), ()),
+    ]
     assert sizes == [2, 1, 2, 1, 2]
     assert sorted(mg.hasse_edges()) == [(0, 1), (1, 2), (3, 2), (4, 3)]
     assert mg.minimal_nodes() == [0, 4]
@@ -57,6 +66,14 @@ def test_leslie_depth9_structure(leslie_coarse):
         ("0", "x^3 - 1", "0"),     # saddle period-3 orbit and connecting set
         ("0", "0", "0"),           # spurious 4-box period-3 set at the saddle
         ("0", "0", "x - 1"),       # planar repelling fixed point
+    ]
+    assert [mg.index_of[q].invariant_factors for q in mg.nodes] == [
+        ((), (), ()),
+        (((4, 0, 0, 1),), (), ()),
+        ((), (), ()),
+        ((), ((4, 0, 0, 1),), ()),
+        ((), (), ()),
+        ((), (), ((4, 1),)),
     ]
     assert sorted(mg.hasse_edges()) == [(1, 4), (2, 0), (3, 2), (3, 5),
                                         (4, 3)]

@@ -19,7 +19,13 @@ computation with a twist, 2011): a column whose index is the pivot row
 of a column one dimension up is a cycle, so it is set to zero without
 being reduced.  Columns reduce only against columns of their own
 dimension, so every other column, the essential cells and the
-representatives are those of a plain left-to-right reduction.
+representatives are those of a plain left-to-right reduction.  Columns
+are lazy, as in PHAT (Bauer, Kerber, Reininghaus and Wagner, 2014): the
+low (highest quotient face) of every column comes from one numpy pass,
+a column whose low is not yet a pivot takes it as it stands, and a
+column becomes a dict only when an elimination reads or changes it.
+Each elimination, in the reduction and in projecting a cycle onto the
+homology basis, takes the next highest key of its chain from a max-heap.
 
 The index map on homology is built as an acyclic-carrier chain map.
 The carrier used for construction assigns to each cell the intersection
@@ -35,6 +41,8 @@ checked on every cell whose phi is computed.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -98,6 +106,31 @@ def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
             dst.pop(key, None)
 
 
+def _eliminate(vec: dict, track: dict, column, p: int) -> int:
+    """Cancels the highest key of vec while column(key) gives chains
+    (c, t), c with that key as its highest: vec -= coef * c and track -=
+    coef * t.  Returns the highest key left, -1 once vec is zero.  Keys
+    only fall, so a max-heap gives each next one; a key that cancelled
+    after it was pushed is skipped."""
+    heap = [-key for key in vec]
+    heapq.heapify(heap)
+    while heap:
+        low = -heapq.heappop(heap)
+        if low not in vec:
+            continue
+        pair = column(low)
+        if pair is None:
+            return low
+        src, tsrc = pair
+        coef = (vec[low] * _inv_mod(src[low], p)) % p
+        for key in src:
+            if key not in vec:  # it will not cancel
+                heapq.heappush(heap, -key)
+        _axpy(vec, src, -coef, p)
+        _axpy(track, tsrc, -coef, p)
+    return -1
+
+
 def _box_mask(grid: CubicalGrid, boxes) -> np.ndarray:
     """Membership of linear box indices; the extra last slot stays False
     and answers for the index -1."""
@@ -137,7 +170,6 @@ class PairComplex:
         if (in_p0 & ~self._in_p1).any():
             raise BoxdynError("P0 must be a subset of P1")
         region = np.flatnonzero(self._in_p1 & ~in_p0)
-        self.p1 = frozenset(np.flatnonzero(self._in_p1).tolist())
 
         d = grid.dimension
         shape = np.asarray(grid.shape, dtype=np.int64)
@@ -148,21 +180,26 @@ class PairComplex:
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
         popcount = bits.sum(axis=1)
 
-        # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0
+        # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0;
+        # sorted, a code equal to its predecessor is a repeat
         o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
         box_j = np.stack(np.unravel_index(region, grid.shape), axis=1)
         anchors = (box_j[:, None, :] + bits[o]).reshape(-1, d)
         masks = np.tile(m, region.size)
         lin = np.ravel_multi_index(tuple(anchors.T), self._vshape)
-        self.closure = np.unique(
-            ((popcount[masks] * self._n_vertices + lin) << d) + masks)
+        codes = np.sort(((popcount[masks] * self._n_vertices + lin) << d) + masks)
+        self.closure = codes[np.diff(codes, prepend=-1) != 0]
 
+        # coface k is the box at anchor - bits(k), present where the cell
+        # does not extend along the bits of k and the box is on the grid
         anchor, mask = self._decode(self.closure)
-        boxes = anchor[:, None, :] - bits  # (n, 2^d, d)
-        present = (((mask[:, None] & np.arange(1 << d)) == 0)
-                   & np.all((boxes >= 0) & (boxes < shape), axis=2))
-        self.cofaces = np.where(present, np.ravel_multi_index(
-            tuple(np.moveaxis(boxes, 2, 0)), grid.shape, mode="clip"), -1)
+        present = (mask[:, None] & np.arange(1 << d)) == 0
+        boxes = np.zeros(present.shape, dtype=np.int64)
+        for i in range(d):
+            b = anchor[:, i, None] - bits[:, i]
+            present &= (b >= 0) & (b < shape[i])
+            boxes += b * int(np.prod(shape[i + 1:]))
+        self.cofaces = np.where(present, boxes, -1)
 
         # along an extended axis i the lower face keeps the anchor and the
         # upper one is a vertex stride further; the upper face's sign is
@@ -187,6 +224,10 @@ class PairComplex:
         self.position = np.full(n + 1, -1, dtype=np.int64)
         self.position[self.rows] = np.arange(self.rows.size)
         self.dims = popcount[mask[self.rows]]
+        # quotient faces (positions, -1 outside) and signs, flat Python
+        # lists, since boundary() reads one cell at a time
+        self._quotient_faces = (self.position[self.faces[self.rows]].ravel().tolist(),
+                                self.signs[self.rows].ravel().tolist())
 
     def _decode(self, codes: np.ndarray):
         """(anchors (n, d), masks (n,)) of an array of codes."""
@@ -210,15 +251,13 @@ class PairComplex:
                 out[int(self.position[row])] = v
         return out
 
-    def boundaries(self, cells) -> list:
-        """del of the quotient cells at the given positions, within the
-        quotient, as dicts position -> sign."""
-        rows = self.rows[cells]
-        faces = self.position[self.faces[rows]]
-        inside = faces >= 0
-        f, s = faces[inside].tolist(), self.signs[rows][inside].tolist()
-        ends = np.cumsum(inside.sum(axis=1)).tolist()
-        return [dict(zip(f[a:b], s[a:b])) for a, b in zip([0] + ends, ends)]
+    def boundary(self, j: int) -> dict:
+        """del of the quotient cell at position j, within the quotient, as
+        a dict position -> sign."""
+        w = 2 * self.grid.dimension
+        faces, signs = self._quotient_faces
+        return {f: s for f, s in zip(faces[j * w:(j + 1) * w],
+                                     signs[j * w:(j + 1) * w]) if f >= 0}
 
     def __len__(self):
         return self.rows.size
@@ -230,51 +269,50 @@ class PairComplex:
 class HomologyBasis:
     """Homology of a PairComplex via sparse column reduction over F_p.
 
-    Columns are in position order (R = D V), reduced with clearing as
-    the module docstring describes.  A column with zero reduced boundary
-    whose own index is never a pivot is an essential cell; its V column
-    is a representative cycle, and the only V column kept once its
-    dimension is reduced.  project expresses any relative cycle in the
-    representatives by repeated pivot elimination.
+    Columns are in position order (R = D V), reduced lazily and with
+    clearing as the module docstring describes.  A column with zero
+    reduced boundary whose own index is never a pivot is an essential
+    cell; its V column is a representative cycle, and the only V column
+    kept once its dimension is reduced.  project expresses any relative
+    cycle in the representatives by the same elimination.
     """
 
     def __init__(self, complex: PairComplex):
         self.complex = complex
-        p = complex.prime
-        bounds = np.searchsorted(complex.dims, np.arange(complex.grid.dimension + 2))
+        d = complex.grid.dimension
+        bounds = np.searchsorted(complex.dims, np.arange(d + 2))
+        lows = complex.position[complex.faces[complex.rows]].max(axis=1).tolist()
 
-        R = {}  # nonzero reduced boundary columns, dict row -> coeff
-        pivot_of = {}  # low row -> column index with that pivot
+        self._R = {}  # columns an elimination changed, dict row -> coeff
+        self._pivot_of = pivot_of = {}  # low row -> column with that pivot
         self._V = {}  # dim -> {essential column: representative cycle}
-        for dim in reversed(range(complex.grid.dimension + 1)):
+        for dim in reversed(range(d + 1)):
             a, b = int(bounds[dim]), int(bounds[dim + 1])
-            V = {}  # change-of-basis columns of this dimension
-            essential = {}
-            # a column on a pivot row of the dimension above is cleared:
-            # its reduced boundary is zero
-            todo = [j for j in range(a, b) if j not in pivot_of]
-            for j, rj in zip(todo, complex.boundaries(todo)):
-                vj = {j: 1}
-                while rj:
-                    low = max(rj)
-                    k = pivot_of.get(low)
-                    if k is None:
-                        break
-                    coef = (rj[low] * _inv_mod(R[k][low], p)) % p
-                    _axpy(rj, R[k], -coef, p)
-                    _axpy(vj, V[k], -coef, p)
-                if rj:
-                    R[j] = rj
-                    V[j] = vj
-                    pivot_of[max(rj)] = j
-                else:
-                    # only a column one dimension up, all reduced by
-                    # now, could have had its pivot on row j
+            V, essential = {}, {}  # V: the columns other than {j: 1}
+
+            def column(low):
+                k = pivot_of.get(low)
+                if k is not None:
+                    return self._column(k), V.get(k) or {k: 1}
+
+            for j in range(a, b):
+                if j in pivot_of:
+                    continue  # cleared: a pivot row of the dimension above
+                low, vj = lows[j], {j: 1}
+                if low in pivot_of:
+                    rj = complex.boundary(j)
+                    low = _eliminate(rj, vj, column, complex.prime)
+                    if low >= 0:
+                        self._R[j], V[j] = rj, vj
+                if low >= 0:
+                    pivot_of[low] = j
+                else:  # no column one dimension up has its pivot on row j
                     essential[j] = vj
             self._V[dim] = essential
 
-        self._R = R
-        self._pivot_of = pivot_of
+    def _column(self, k: int) -> dict:
+        """Reduced column k; one that never changed is built on each read."""
+        return self._R.get(k) or self.complex.boundary(k)
 
     def rank(self, dim: int) -> int:
         return len(self._V.get(dim, ()))
@@ -288,24 +326,20 @@ class HomologyBasis:
         p = self.complex.prime
         vec = {j: v % p for j, v in chain.items() if v % p}
         reps = self._V.get(dim, {})
-        coords = np.zeros(len(reps), dtype=np.int64)
-        pos = {j: i for i, j in enumerate(reps)}
-        while vec:
-            low = max(vec)
+
+        def column(low):
             k = self._pivot_of.get(low)
             if k is not None:
-                # subtract the boundary column R_k: changes nothing in homology
-                coef = (vec[low] * _inv_mod(self._R[k][low], p)) % p
-                src = self._R[k]
-            elif low in pos:
-                # essential representative V_low has unit pivot at its own index
-                coef = vec[low] % p
-                coords[pos[low]] = (coords[pos[low]] + coef) % p
-                src = reps[low]
-            else:
-                raise BoxdynError("chain is not a relative cycle")
-            _axpy(vec, src, -coef, p)
-        return coords
+                # a boundary column: changes nothing in homology
+                return self._column(k), {}
+            if low in reps:
+                # V_low has unit pivot at low; coords[low] gains coef
+                return reps[low], {low: -1}
+            raise BoxdynError("chain is not a relative cycle")
+
+        coords = {}
+        _eliminate(vec, coords, column, p)
+        return np.array([coords.get(j, 0) for j in reps], dtype=np.int64)
 
     def betti_numbers(self, max_dim: int):
         return [self.rank(k) for k in range(max_dim + 1)]
@@ -385,8 +419,7 @@ class ChainMapData(dict):
         cx = self.complex
         if not 0 <= j < len(cx):
             raise KeyError(j)
-        row = int(cx.rows[j])
-        image = cx.quotient(self._phi_full(row))
+        image = cx.quotient(self._phi_full(int(cx.rows[j])))
         if cx.dims[j]:
             self._check_commutes(j, image)
         self[j] = image
@@ -395,12 +428,11 @@ class ChainMapData(dict):
     def _check_commutes(self, j: int, image: dict):
         """del(phi) = phi(del) must hold exactly; violations are bugs."""
         cx = self.complex
-        *image_bd, own_bd = cx.boundaries([*image, j])
         lhs = {}
-        for v, bd in zip(image.values(), image_bd):
-            _axpy(lhs, bd, v, cx.prime)
+        for c, v in image.items():
+            _axpy(lhs, cx.boundary(c), v, cx.prime)
         rhs = {}
-        for face, sign in own_bd.items():
+        for face, sign in cx.boundary(j).items():
             _axpy(rhs, self[face], sign, cx.prime)
         if lhs != rhs:
             raise BoxdynError("chain map does not commute with boundary at "
@@ -433,21 +465,22 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     # escape the quotient through the shared face; refuse loudly.
     qcof = cof[complex.rows]
     if ((qcof >= 0) & ~in_p1[qcof] & exterior[qcof]).any():
-        raise BoxdynError(
-            "index pair touches exterior boxes; enlarge the domain "
-            "or refine the grid"
-        )
+        raise BoxdynError("index pair touches exterior boxes; enlarge the "
+                          "domain or refine the grid")
 
     # construction carriers: intersection of the P1 cofaces' target
-    # ranges; an exterior coface has no targets
+    # ranges, slot by slot; a slot without a P1 coface repeats the
+    # cell's first one, which leaves the max and min unchanged
     used = in_p1[cof]
-    p1cof = np.where(used, cof, -1)
-    lo = np.max(boxmap.jmin[p1cof], axis=1, where=used[..., None],
-                initial=np.iinfo(boxmap.jmin.dtype).min)
-    hi = np.min(boxmap.jmax[p1cof], axis=1, where=used[..., None],
-                initial=np.iinfo(boxmap.jmax.dtype).max)
+    first = cof[np.arange(cof.shape[0]), used.argmax(axis=1)]
+    filled = np.where(used, cof, first[:, None])
+    lo, hi = boxmap.jmin[first], boxmap.jmax[first]
+    for k in range(1, cof.shape[1]):
+        lo = np.maximum(lo, boxmap.jmin[filled[:, k]])
+        hi = np.minimum(hi, boxmap.jmax[filled[:, k]])
+    # an exterior coface has no targets
     empty = (~used.any(axis=1) | (lo > hi).any(axis=1)
-             | (used & exterior[p1cof]).any(axis=1))
+             | exterior[filled].any(axis=1))
     if empty.any():
         raise CarrierNotAcyclic(complex.cell(complex.closure[np.argmax(empty)]),
                                 "carrier is empty")
@@ -460,8 +493,7 @@ def induced_homology_map(cm: ChainMapData, basis: HomologyBasis) -> dict:
     complex = cm.complex
     out = {}
     for dim in range(complex.grid.dimension + 1):
-        r = basis.rank(dim)
-        mat = np.zeros((r, r), dtype=np.int64)
+        mat = np.zeros((basis.rank(dim),) * 2, dtype=np.int64)
         for j, rep in enumerate(basis.representatives(dim)):
             mat[:, j] = basis.project(cm.apply(rep), dim)
         out[dim] = mat

@@ -129,6 +129,36 @@ def boundary_matrix(complex, dim):
     return mat
 
 
+def eager_reduction(complex):
+    """The column reduction with clearing, every column built as a dict
+    from boundary_chains and its pivot found by max() over it, top
+    dimension first.  Returns (pivot_of, {dim: representatives}): the
+    scalar reference for HomologyBasis._pivot_of and representatives."""
+    from boxdyn.homology import _axpy
+
+    p = complex.prime
+    bd = boundary_chains(complex)
+    R, V, pivot_of, reps = {}, {}, {}, {}
+    for dim in reversed(range(complex.grid.dimension + 1)):
+        essential = {}
+        for j in np.flatnonzero(complex.dims == dim).tolist():
+            if j in pivot_of:
+                continue
+            rj, vj = dict(bd[j]), {j: 1}
+            while rj and max(rj) in pivot_of:
+                k = pivot_of[max(rj)]
+                coef = rj[max(rj)] * pow(R[k][max(rj)], p - 2, p) % p
+                _axpy(rj, R[k], -coef, p)
+                _axpy(vj, V[k], -coef, p)
+            if rj:
+                R[j], V[j] = rj, vj
+                pivot_of[max(rj)] = j
+            else:
+                essential[j] = vj
+        reps[dim] = list(essential.values())
+    return pivot_of, reps
+
+
 def brute_betti(complex, max_dim):
     """Relative Betti numbers via dense rank-nullity over F_p.
 
@@ -172,12 +202,13 @@ def cell_coface_boxes(cell, shape):
 def carrier(boxmap, complex, cell):
     """Declared carrier: union of targets over P1 cofaces, within P1."""
     grid = boxmap.grid
+    p1 = set(np.flatnonzero(complex._in_p1).tolist())
     out = set()
     for j in cell_coface_boxes(cell, grid.shape):
         lin = grid.linearize(j)
-        if lin in complex.p1:
+        if lin in p1:
             out.update(int(t) for t in boxmap.targets(lin))
-    return np.array(sorted(out & complex.p1), dtype=np.int64)
+    return np.array(sorted(out & p1), dtype=np.int64)
 
 
 def charpoly_mod_p(m, p):

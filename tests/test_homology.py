@@ -23,7 +23,7 @@ from boxdyn.outer_approx import BoxMap
 
 from conftest import (boundary_chains, boundary_matrix, brute_betti, carrier,
                       cell_coface_boxes, cell_faces, cells, charpoly_mod_p,
-                      decode)
+                      decode, eager_reduction)
 
 
 def grid1d(depth=3, lo=0.0, hi=1.0):
@@ -83,7 +83,7 @@ class TestCells:
                     assert got == dict(cell_faces(decode(cx, code)))
                     assert not signs[faces < 0].any()
                 got = [{j: s % cx.prime for j, s in bd.items()}
-                       for bd in cx.boundaries(np.arange(len(cx)))]
+                       for bd in map(cx.boundary, range(len(cx)))]
                 assert got == boundary_chains(cx)
 
 
@@ -192,6 +192,61 @@ class TestPairComplex:
             stored = sum(len(cols) for cols in basis._V.values())
             assert stored == sum(basis.betti_numbers(2))
 
+    def test_reduction_matches_eager_reference(self):
+        """The lazy, heap-ordered reduction finds the pivots and the
+        representatives of the eager max() reduction; random pairs in
+        dimensions 1-3, an empty region and a nonempty P0 among them."""
+        rng = np.random.default_rng(13)
+        seen = set()
+        for depths in ([4], [2, 3], [1, 2, 1], [2, 2, 2]):
+            g = CubicalGrid(PhaseSpace([0.0] * len(depths), [1.0] * len(depths)),
+                            depths)
+            for trial in range(12):
+                p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count + 1),
+                                replace=False)
+                p0 = p1 if trial == 0 else [int(b) for b in p1 if rng.random() < 0.3]
+                cx = PairComplex(g, p1, p0)
+                basis = HomologyBasis(cx)
+                pivot_of, reps = eager_reduction(cx)
+                assert basis._pivot_of == pivot_of
+                for dim in range(g.dimension + 1):
+                    assert basis.representatives(dim) == reps[dim]
+                seen.add((len(cx) == 0, len(p0) > 0, len(basis._R) > 0))
+        assert {(True, True, False), (False, True, True)} <= seen
+
+    def test_projection_of_representatives(self):
+        """project(rep_i) and project(rep_i + del c) are the unit vector
+        e_i, c a random chain one dimension up; a chain that is not a
+        cycle is refused."""
+        rng = np.random.default_rng(14)
+        for depths in ([4], [2, 3], [2, 2, 2]):
+            g = CubicalGrid(PhaseSpace([0.0] * len(depths), [1.0] * len(depths)),
+                            depths)
+            for _ in range(10):
+                p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count + 1),
+                                replace=False)
+                p0 = [int(b) for b in p1 if rng.random() < 0.3]
+                cx = PairComplex(g, p1, p0)
+                basis = HomologyBasis(cx)
+                bd = boundary_chains(cx)
+                p = cx.prime
+                for dim in range(g.dimension + 1):
+                    reps = basis.representatives(dim)
+                    up = np.flatnonzero(cx.dims == dim + 1)
+                    for i, rep in enumerate(reps):
+                        unit = np.eye(len(reps), dtype=np.int64)[i]
+                        assert np.array_equal(basis.project(rep, dim), unit)
+                        chain = dict(rep)
+                        for c in rng.choice(up, size=min(4, up.size), replace=False):
+                            coef = int(rng.integers(1, p))
+                            for face, s in bd[c].items():
+                                chain[face] = (chain.get(face, 0) + coef * s) % p
+                        assert np.array_equal(basis.project(chain, dim), unit)
+                    broken = [j for j in np.flatnonzero(cx.dims == dim) if bd[j]]
+                    if broken:
+                        with pytest.raises(BoxdynError, match="not a relative cycle"):
+                            basis.project({int(broken[0]): 1}, dim)
+
     def test_representatives_are_cycles(self, rng):
         g = grid2d(2, 2)
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
@@ -282,6 +337,62 @@ class TestCarrier:
                 assert g.linearize(j) in car
 
 
+class TestCarrierRectangle:
+    def test_carriers_match_scalar_intersection(self):
+        """The carrier rectangle of every closure cell is the
+        intersection of the target rectangles of its P1 coface boxes,
+        and an empty one, or one with an exterior P1 coface, is refused
+        at the first such cell; random 2-D and 3-D pairs, cells at the
+        grid's edge and outside P1 too."""
+        rng = np.random.default_rng(15)
+        outcomes = set()
+        for depths in ([2, 3], [2, 2, 2]):
+            d = len(depths)
+            g = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d), depths)
+            shape = np.array(g.shape)
+            for trial in range(16):
+                if trial % 2:  # every intersection meets the middle
+                    jmin = rng.integers(0, shape // 2, size=(g.box_count, d))
+                    jmax = rng.integers(shape // 2, shape, size=(g.box_count, d))
+                else:
+                    jmin = rng.integers(0, shape, size=(g.box_count, d))
+                    jmax = np.minimum(jmin + rng.integers(0, 3, size=(g.box_count, d)),
+                                      shape - 1)
+                p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count),
+                                replace=False)
+                exterior = np.zeros(g.box_count, dtype=bool)
+                if trial % 4 == 3:  # inside P1, so the exterior guard passes
+                    exterior[rng.choice(p1)] = True
+                bm = BoxMap(g, 0.0, jmin=jmin, jmax=jmax, exterior=exterior)
+                p0 = [int(b) for b in p1 if rng.random() < 0.3]
+                cx = PairComplex(g, p1, p0)
+                in_p1 = set(p1.tolist())
+                rects, first_empty = [], None
+                for code in cx.closure:
+                    cell = decode(cx, code)
+                    boxes = [g.linearize(j) for j in cell_coface_boxes(cell, g.shape)]
+                    boxes = [b for b in boxes if b in in_p1]
+                    lo = np.max(jmin[boxes], axis=0)
+                    hi = np.min(jmax[boxes], axis=0)
+                    rects.append((lo, hi))
+                    if first_empty is None and ((lo > hi).any()
+                                                or exterior[boxes].any()):
+                        first_empty = cell
+                if first_empty is not None:
+                    with pytest.raises(CarrierNotAcyclic) as exc:
+                        chain_map(bm, cx)
+                    assert exc.value.cell == first_empty
+                    outcomes.add("empty")
+                    continue
+                small = chain_map(bm, cx)
+                large = chain_map(bm, cx, vertex_rule="largest")
+                for row, (lo, hi) in enumerate(rects):
+                    assert np.array_equal(small._lo[row], lo)
+                    assert decode(cx, large._vertex[row]) == (tuple(hi + 1), 0)
+                outcomes.add("nonempty")
+        assert outcomes == {"empty", "nonempty"}
+
+
 class TestChainMap:
     def test_constant_oracle_h0_identity(self):
         g = grid1d(3)
@@ -352,11 +463,6 @@ class TestChainMap:
         named = cells(cx)
         for pos, cell in enumerate(named):
             allowed = set(carrier(bm, cx, cell).tolist())
-            for (anchor, mask) in (named[c2] for c2 in cm[pos]):
-                for j in cell_coface_boxes((anchor, mask), g.shape):
-                    lin = g.linearize(j)
-                    if lin in cx.p1:
-                        pass  # coface box inside P1
             # support boxes of the image cells must be carried boxes
             for c2 in cm[pos]:
                 covers = [g.linearize(j)

@@ -21,7 +21,7 @@ from .graph_dynamics import (Condensation, IndexPairC, MorseGraph,
                              verify_attracting_block)
 from .grid import CubicalGrid, PhaseSpace, Rect
 from .homology import (ChainMapData, HomologyBasis, PairComplex, chain_map,
-                       induced_homology_map, rank_mod_p, solve_mod_p)
+                       induced_homology_map)
 from .oracles import (CallableOracle, LeslieOracle, LipschitzDataOracle,
                       MapOracle, MlpOracle, PiecewiseExample1D)
 from .outer_approx import BoxMap, build_boxmap, encloses
@@ -40,6 +40,6 @@ __all__ = [
     "check_epimorphism", "condensation", "conley_index", "downset",
     "encloses", "format_poly", "index_pair", "induced_homology_map",
     "invariant_factors_mod_p", "morse_graph", "morse_graph_from_jsonable",
-    "morse_tiles", "nontriviality", "project", "rank_mod_p", "shift_class",
-    "shift_invariant_factors", "solve_mod_p", "verify_attracting_block",
+    "morse_tiles", "nontriviality", "project", "shift_class",
+    "shift_invariant_factors", "verify_attracting_block",
 ]

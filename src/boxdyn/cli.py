@@ -52,6 +52,9 @@ class AnalysisConfig:
     def validate(self):
         if len(self.lower) != len(self.upper) or len(self.lower) != len(self.depths):
             raise ConfigError("domain bounds and depths must share one dimension")
+        if any(not isinstance(d, int) or d < 0 for d in self.depths):
+            raise ConfigError(f"depths must be nonnegative integers, got "
+                              f"{self.depths}")
         if any(lo >= up for lo, up in zip(self.lower, self.upper)):
             raise ConfigError("domain lower bounds must be below upper bounds")
         if self.rho < 0:
@@ -206,17 +209,29 @@ def load_trajectory_data(path, lipschitz: float) -> LipschitzDataOracle:
 
 
 def build_oracle(cfg: AnalysisConfig, space: PhaseSpace):
+    """The oracle of cfg's spec; a missing field, a bad value or an
+    unreadable file is a ConfigError."""
     spec = cfg.oracle
     kind = spec["type"]
-    if kind == "leslie":
-        theta = spec.get("theta", [23.5, 23.5])
-        return LeslieOracle(tuple(theta), domain=space)
-    if kind == "piecewise1d":
-        return PiecewiseExample1D(float(spec["theta"]), domain=space)
-    if kind == "mlp":
-        return load_mlp_weights(spec["weights"])
-    if kind == "data":
-        return load_trajectory_data(spec["samples"], float(spec["lipschitz"]))
+    try:
+        if kind == "leslie":
+            theta = tuple(spec.get("theta", [23.5, 23.5]))
+            if len(theta) != 2:
+                raise ConfigError(f"leslie theta needs two values, got {theta}")
+            return LeslieOracle(theta, domain=space)
+        if kind == "piecewise1d":
+            return PiecewiseExample1D(float(spec["theta"]), domain=space)
+        if kind == "mlp":
+            return load_mlp_weights(spec["weights"])
+        if kind == "data":
+            return load_trajectory_data(spec["samples"],
+                                        float(spec["lipschitz"]))
+    except KeyError as e:
+        raise ConfigError(f"{kind} oracle spec missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid {kind} oracle spec: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read {kind} oracle file: {e}") from e
     raise ConfigError(f"unknown oracle type {kind!r}")
 
 
@@ -340,7 +355,10 @@ def _apply_overrides(cfg: AnalysisConfig, args) -> AnalysisConfig:
         cfg.lower = [p[0] for p in pairs]
         cfg.upper = [p[1] for p in pairs]
     if args.depth:
-        cfg.depths = [int(v) for v in args.depth.split(",")]
+        try:
+            cfg.depths = [int(v) for v in args.depth.split(",")]
+        except ValueError:
+            raise ConfigError(f"cannot parse --depth {args.depth!r}")
     if args.rho is not None:
         cfg.rho = args.rho
     if args.prime is not None:
@@ -356,16 +374,20 @@ def _apply_overrides(cfg: AnalysisConfig, args) -> AnalysisConfig:
 
 def _parse_oracle_flag(text: str) -> dict:
     kind, _, rest = text.partition(":")
-    if kind == "leslie":
-        return {"type": "leslie",
-                "theta": [float(v) for v in rest.split(",")] if rest else [23.5, 23.5]}
-    if kind == "piecewise1d":
-        return {"type": "piecewise1d", "theta": float(rest)}
-    if kind == "mlp":
-        return {"type": "mlp", "weights": rest}
-    if kind == "data":
-        path, _, lip = rest.rpartition(":")
-        return {"type": "data", "samples": path, "lipschitz": float(lip)}
+    try:
+        if kind == "leslie":
+            return {"type": "leslie",
+                    "theta": ([float(v) for v in rest.split(",")] if rest
+                              else [23.5, 23.5])}
+        if kind == "piecewise1d":
+            return {"type": "piecewise1d", "theta": float(rest)}
+        if kind == "mlp":
+            return {"type": "mlp", "weights": rest}
+        if kind == "data":
+            path, _, lip = rest.rpartition(":")
+            return {"type": "data", "samples": path, "lipschitz": float(lip)}
+    except ValueError:
+        raise ConfigError(f"cannot parse --oracle {text!r}")
     raise ConfigError(f"unknown oracle flag {text!r}")
 
 

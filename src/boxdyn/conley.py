@@ -3,21 +3,25 @@
 Over a field the shift class of a square matrix is the similarity class
 of its restriction to the eventual image (the nilpotent part discarded;
 Franks and Richeson, Shift equivalence and the Conley index, 2000).
-That class is fixed by the restriction's invariant factors, from the
-Smith normal form of xI - A over F_p[x]; the label per dimension is
-their product, the restriction's characteristic polynomial.
+That class is fixed by the restriction's invariant factors.  They come
+from one Smith normal form of xI - A over F_p[x]: by the Fitting
+decomposition the nilpotent part is the x-primary part of that form, so
+the restriction's factors are A's own with their powers of x removed.
+The label per dimension is their product, the restriction's
+characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import BoxdynError
 from .graph_dynamics import Condensation, index_pair
-from .homology import (HomologyBasis, PairComplex, _inv_mod, _row_reduce,
-                       chain_map, induced_homology_map)
+from .homology import (HomologyBasis, PairComplex, _inv_mod, chain_map,
+                       induced_homology_map)
 from .outer_approx import BoxMap
 
 # polynomials over F_p are tuples of coefficients, ascending powers,
@@ -54,6 +58,10 @@ def _poly_divmod(a, b, p):
             for i, bv in enumerate(b):
                 a[k + i] = (a[k + i] - coef * bv) % p
     return _poly_trim(q), _poly_trim(a)
+
+
+def _poly_sub(a, b, p):
+    return _poly_trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _poly_monic(a, p):
@@ -104,113 +112,59 @@ def invariant_factors_mod_p(m: np.ndarray, p: int):
     over F_p[x].  Returned monic, each dividing the next."""
     a = np.array(m, dtype=np.int64) % p
     n = a.shape[0]
-    mat = [[() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            base = [(-a[i, j]) % p]
-            if i == j:
-                base.append(1)
-            mat[i][j] = _poly_trim(base)
-
-    def deg(q):
-        return len(q) - 1 if q else -1
-
+    mat = [[_poly_trim([-a[i, j] % p] + [1] * (i == j)) for j in range(n)]
+           for i in range(n)]
     factors = []
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if mat[i][j] and (best is None or deg(mat[i][j]) < deg(mat[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            nonzero = [(i, j) for i in range(t, n) for j in range(t, n)
+                       if mat[i][j]]
+            if not nonzero:
                 break
-            bi, bj = best
+            bi, bj = min(nonzero, key=lambda ij: len(mat[ij[0]][ij[1]]))
             mat[t], mat[bi] = mat[bi], mat[t]
             for row in mat:
                 row[t], row[bj] = row[bj], row[t]
+            # clear column t below the pivot, then row t by the same
+            # pass on the transpose; a remainder left behind is of
+            # lower degree than the pivot and becomes the next pivot
             dirty = False
-            for i in range(t + 1, n):
-                if mat[i][t]:
-                    q, r = _poly_divmod(mat[i][t], mat[t][t], p)
-                    for j in range(t, n):
-                        mat[i][j] = _poly_trim(
-                            [(x - y) % p for x, y in
-                             _zip_pad(mat[i][j], _poly_mul(q, mat[t][j], p))]
-                        )
+            for _ in range(2):
+                for i in range(t + 1, n):
                     if mat[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    q, r = _poly_divmod(mat[t][j], mat[t][t], p)
-                    for i in range(t, n):
-                        mat[i][j] = _poly_trim(
-                            [(x - y) % p for x, y in
-                             _zip_pad(mat[i][j], _poly_mul(q, mat[i][t], p))]
-                        )
-                    if mat[t][j]:
-                        dirty = True
+                        q, r = _poly_divmod(mat[i][t], mat[t][t], p)
+                        mat[i][t:] = [_poly_sub(x, _poly_mul(q, y, p), p)
+                                      for x, y in zip(mat[i][t:], mat[t][t:])]
+                        dirty |= bool(r)
+                mat = [list(col) for col in zip(*mat)]
             if dirty:
                 continue
-            # pivot must divide every remaining entry
-            fixed = False
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if mat[i][j]:
-                        _, r = _poly_divmod(mat[i][j], mat[t][t], p)
-                        if r:
-                            for jj in range(t, n):
-                                mat[t][jj] = _poly_trim(
-                                    [(x + y) % p for x, y in
-                                     _zip_pad(mat[t][jj], mat[i][jj])]
-                                )
-                            fixed = True
-                            break
-                if fixed:
-                    break
-            if not fixed:
+            # the pivot must divide every remaining entry; a row holding
+            # one it does not divide is folded into row t
+            bad = next((i for i in range(t + 1, n) for j in range(t + 1, n)
+                        if _poly_divmod(mat[i][j], mat[t][t], p)[1]), None)
+            if bad is None:
                 break
+            mat[t][t:] = [_poly_sub(x, y, p)
+                          for x, y in zip(mat[t][t:], mat[bad][t:])]
         if mat[t][t]:
             piv = _poly_monic(mat[t][t], p)
-            if deg(piv) >= 1:
+            if len(piv) > 1:
                 factors.append(piv)
     return factors
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b)))
-
-
-def _eventual_restriction(m: np.ndarray, p: int) -> np.ndarray:
-    """Matrix of m on its eventual image.
-
-    Finds the smallest k with rank(m^k) = rank(m^{k+1}); the pivot
-    columns of m^k are a basis of the eventual image, on which m is
-    invertible.  The basis has full column rank, so one elimination of
-    [basis | m basis] leaves the restricted matrix beside an identity.
-    """
-    a = np.array(m, dtype=np.int64) % p
-    power = np.eye(a.shape[0], dtype=np.int64)
-    pivots = list(range(a.shape[0]))
-    while True:
-        nxt = (a @ power) % p
-        _, nxt_pivots = _row_reduce(nxt, p)
-        if len(nxt_pivots) == len(pivots):
-            break
-        power, pivots = nxt, nxt_pivots
-    basis = power[:, pivots]
-    r = len(pivots)
-    rref, piv = _row_reduce(np.hstack([basis, (a @ basis) % p]), p)
-    if piv != list(range(r)):
-        raise BoxdynError("eventual image is not invariant under the matrix")
-    return rref[:r, r:]
-
-
 def shift_invariant_factors(m: np.ndarray, p: int):
-    """Invariant factors of the eventual-image restriction: the exact
-    representative of the shift class."""
-    return invariant_factors_mod_p(_eventual_restriction(m, p), p)
+    """Invariant factors of m on its eventual image: the exact
+    representative of the shift class.  The discarded nilpotent part is
+    the x-primary part of the Smith form, so each factor of xI - m loses
+    its power of x, and factors that become 1 are dropped."""
+    out = []
+    for f in invariant_factors_mod_p(m, p):
+        k = next(i for i, c in enumerate(f) if c)
+        if len(f) - k > 1:
+            out.append(f[k:])
+    return out
 
 
 def shift_class(m: np.ndarray, p: int):
@@ -264,8 +218,12 @@ class ConleyIndex:
 def conley_index(boxmap: BoxMap, cond: Condensation, cid: int,
                  prime: int = 5) -> ConleyIndex:
     """Index pair -> relative complex -> chain map -> homology matrix ->
-    shift class, per dimension."""
-    pair = index_pair(boxmap, cond, cid)
+    shift class, per dimension.  boxmap must be cond.boxmap, the map the
+    condensation was computed from."""
+    if boxmap is not cond.boxmap:
+        raise BoxdynError("conley_index needs the box map its condensation "
+                          "was computed from")
+    pair = index_pair(cond, cid)
     complex = PairComplex(boxmap.grid, pair.p1, pair.p0, prime)
     basis = HomologyBasis(complex)
     cm = chain_map(boxmap, complex)

@@ -79,19 +79,20 @@ def condensation(boxmap: BoxMap) -> Condensation:
     return Condensation(boxmap, smallest[label], np.sort(smallest[recurrent]))
 
 
-def downset(boxmap: BoxMap, cond: Condensation, cid: int) -> np.ndarray:
+def downset(cond: Condensation, cid: int) -> np.ndarray:
     """All boxes reachable from the component's region, region included.
 
     The search starts from the box cid alone: the region is strongly
-    connected, so every other member is reached from it.  boxmap is the
-    map cond was computed from; the result is memoized on cond, so the
-    Morse graph and the index pairs share one search per component.
+    connected, so every other member is reached from it.  It runs on
+    cond.boxmap, the map cond was computed from, and the result is
+    memoized on cond, so the Morse graph and the index pairs share one
+    search per component.
     """
     if not cond.is_recurrent(cid):
         raise NodeNotRecurrent(f"component {cid} is not recurrent")
     ds = cond._downsets.get(int(cid))
     if ds is None:
-        reach = breadth_first_order(boxmap.adjacency(), int(cid),
+        reach = breadth_first_order(cond.boxmap.adjacency(), int(cid),
                                     directed=True, return_predecessors=False)
         ds = np.sort(reach).astype(np.int64)
         ds.flags.writeable = False  # shared by every caller
@@ -107,14 +108,15 @@ class IndexPairC:
         self.p0 = np.asarray(p0, dtype=np.int64)
 
 
-def index_pair(boxmap: BoxMap, cond: Condensation, cid: int) -> IndexPairC:
-    """Index pair (downset, downset minus region) for a recurrent component.
+def index_pair(cond: Condensation, cid: int) -> IndexPairC:
+    """Index pair (downset, downset minus region) for a recurrent
+    component of cond.boxmap.
 
     Exterior boxes are dropped: they cannot belong to a forward-invariant
     set realization (their image escaped the phase space).
     """
-    ds = downset(boxmap, cond, cid)
-    ds = ds[~boxmap.exterior[ds]]
+    ds = downset(cond, cid)
+    ds = ds[~cond.boxmap.exterior[ds]]
     region = cond.members(cid)
     p0 = np.setdiff1d(ds, region, assume_unique=True)
     return IndexPairC(ds, p0)
@@ -235,7 +237,7 @@ def morse_graph(cond: Condensation) -> MorseGraph:
     boxmap = cond.boxmap
     comp_ids = [int(c) for c in cond.recurrent]
     regions = [cond.members(c) for c in comp_ids]
-    downsets = [downset(boxmap, cond, c) for c in comp_ids]
+    downsets = [downset(cond, c) for c in comp_ids]
     order = set()
     for qi, ds in enumerate(downsets):
         for qj in np.flatnonzero(np.isin(comp_ids, ds)):

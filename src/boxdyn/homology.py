@@ -54,47 +54,6 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
-def _row_reduce(mat: np.ndarray, p: int):
-    """Gauss-Jordan elimination over F_p: (reduced row echelon form,
-    pivot columns in increasing order)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = np.flatnonzero(a[r:, c])
-        if piv.size == 0:
-            continue
-        pr = r + piv[0]
-        a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * _inv_mod(a[r, c], p)) % p
-        nz = np.flatnonzero(a[:, c])
-        nz = nz[nz != r]
-        a[nz] = (a[nz] - np.outer(a[nz, c], a[r])) % p
-        pivots.append(c)
-    return a, pivots
-
-
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    return len(_row_reduce(mat, p)[1])
-
-
-def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
-    """One solution of mat @ x = rhs over F_p, or None if inconsistent."""
-    a = np.asarray(mat, dtype=np.int64)
-    cols = a.shape[1]
-    aug = np.hstack([a, np.asarray(rhs, dtype=np.int64).reshape(-1, 1)])
-    rref, pivots = _row_reduce(aug, p)
-    if pivots and pivots[-1] == cols:
-        return None  # a pivot in the rhs column reads 0 = 1
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = rref[:len(pivots), cols]
-    return x
-
-
 def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
     """dst += coef * src over F_p for sparse chains, in place; entries
     that become zero are dropped."""

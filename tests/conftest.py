@@ -2,9 +2,9 @@
 scalar reference implementations and the shared Leslie 9x9 analysis.
 
 The brute-force routines here are deliberately independent of the library
-internals (Floyd-Warshall closures, dense rank counts, per-cell coface
-loops) so the fast implementations are checked against slow-but-obvious
-ones.
+internals (Floyd-Warshall closures, dense Gauss-Jordan rank, solve and
+eventual-image counts, per-cell coface loops) so the fast implementations
+are checked against slow-but-obvious ones.
 """
 
 import itertools
@@ -18,6 +18,7 @@ from scipy.sparse import csr_matrix
 
 from boxdyn import (CubicalGrid, LeslieOracle, PhaseSpace, build_boxmap,
                     condensation, conley_index, morse_graph)
+from boxdyn.homology import _inv_mod
 
 
 def digraph_boxmap(n, edges, depth=None):
@@ -159,6 +160,73 @@ def eager_reduction(complex):
     return pivot_of, reps
 
 
+def _row_reduce(mat: np.ndarray, p: int):
+    """Gauss-Jordan elimination over F_p: (reduced row echelon form,
+    pivot columns in increasing order)."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = np.flatnonzero(a[r:, c])
+        if piv.size == 0:
+            continue
+        pr = r + piv[0]
+        a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * _inv_mod(a[r, c], p)) % p
+        nz = np.flatnonzero(a[:, c])
+        nz = nz[nz != r]
+        a[nz] = (a[nz] - np.outer(a[nz, c], a[r])) % p
+        pivots.append(c)
+    return a, pivots
+
+
+def rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p."""
+    return len(_row_reduce(mat, p)[1])
+
+
+def solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
+    """One solution of mat @ x = rhs over F_p, or None if inconsistent."""
+    a = np.asarray(mat, dtype=np.int64)
+    cols = a.shape[1]
+    aug = np.hstack([a, np.asarray(rhs, dtype=np.int64).reshape(-1, 1)])
+    rref, pivots = _row_reduce(aug, p)
+    if pivots and pivots[-1] == cols:
+        return None  # a pivot in the rhs column reads 0 = 1
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = rref[:len(pivots), cols]
+    return x
+
+
+def eventual_restriction(m: np.ndarray, p: int) -> np.ndarray:
+    """Matrix of m on its eventual image.
+
+    Finds the smallest k with rank(m^k) = rank(m^{k+1}); the pivot
+    columns of m^k are a basis of the eventual image, on which m is
+    invertible.  The basis has full column rank, so one elimination of
+    [basis | m basis] leaves the restricted matrix beside an identity.
+    The reference for shift_invariant_factors, which reads the same
+    restriction off the Smith form.
+    """
+    a = np.array(m, dtype=np.int64) % p
+    power = np.eye(a.shape[0], dtype=np.int64)
+    pivots = list(range(a.shape[0]))
+    while True:
+        nxt = (a @ power) % p
+        _, nxt_pivots = _row_reduce(nxt, p)
+        if len(nxt_pivots) == len(pivots):
+            break
+        power, pivots = nxt, nxt_pivots
+    basis = power[:, pivots]
+    r = len(pivots)
+    rref, piv = _row_reduce(np.hstack([basis, (a @ basis) % p]), p)
+    assert piv == list(range(r)), "eventual image is not invariant"
+    return rref[:r, r:]
+
+
 def brute_betti(complex, max_dim):
     """Relative Betti numbers via dense rank-nullity over F_p.
 
@@ -166,8 +234,6 @@ def brute_betti(complex, max_dim):
     come from cell_faces, independent of the code arithmetic and of the
     column-reduction path used by HomologyBasis.
     """
-    from boxdyn.homology import rank_mod_p
-
     out = []
     for k in range(max_dim + 1):
         nk = complex.n_cells(k)

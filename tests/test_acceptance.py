@@ -34,7 +34,8 @@ from boxdyn import (
     shift_class,
     shift_invariant_factors,
 )
-from conftest import boundary_chains, brute_betti, brute_sccs, digraph_boxmap
+from conftest import (boundary_chains, brute_betti, brute_sccs,
+                      digraph_boxmap, rank_mod_p, solve_mod_p)
 
 
 def report(n, checks):
@@ -316,7 +317,6 @@ class TestCriterion5:
         report("5d", [("del(del)=0 and del(phi)=phi(del), 200 cases", ok)])
 
     def test_e_shift_class_similarity_invariance(self, rng):
-        from boxdyn import rank_mod_p, solve_mod_p
         p, ok = 5, True
         done = 0
         while done < 200:

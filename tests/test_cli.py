@@ -231,6 +231,26 @@ class TestAnalyzeCommand:
     def test_unreadable_config_exit_code(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--depth", "x"],
+        ["--depth", "-1"],
+        ["--oracle", "leslie:a,b"],
+        ["--oracle", "leslie:1"],
+        ["--oracle", "piecewise1d:-1"],
+        ["--oracle", "data:{tmp}/missing.txt:3"],
+        ["--config", "{tmp}/no_theta.json"],
+    ], ids=["depth-not-int", "depth-negative", "leslie-theta-not-float",
+            "leslie-theta-short", "piecewise-theta-negative", "data-file-missing",
+            "piecewise-theta-missing"])
+    def test_bad_input_exit_code(self, tmp_path, capsys, flags):
+        """A bad flag value or oracle spec is an input error: exit 2 with
+        a message, not a traceback."""
+        good = write_config(tmp_path / "c.json")
+        write_config(tmp_path / "no_theta.json", oracle={"type": "piecewise1d"})
+        argv = ["analyze", "--config", str(good), "--no-cache"]
+        assert main(argv + [f.format(tmp=tmp_path) for f in flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_oracle_flag_parsing(self, tmp_path):
         rc = main(["analyze", "--domain=-2:2", "--depth", "6",
                    "--rho", "0.001", "--oracle", "piecewise1d:0.5",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boxdyn import (
+    BoxdynError,
     ConleyIndex,
     CubicalGrid,
     PhaseSpace,
@@ -12,13 +13,16 @@ from boxdyn import (
     nontriviality,
 )
 from boxdyn.conley import (
+    _poly_divmod,
+    _poly_mul,
     format_poly,
     invariant_factors_mod_p,
     shift_class,
     shift_invariant_factors,
 )
 
-from conftest import charpoly_mod_p
+from conftest import (charpoly_mod_p, eventual_restriction, rank_mod_p,
+                      solve_mod_p)
 
 P = 5
 
@@ -26,7 +30,6 @@ P = 5
 def random_invertible(rng, n, p=P):
     while True:
         m = rng.integers(0, p, size=(n, n))
-        from boxdyn.homology import rank_mod_p
         if rank_mod_p(m, p) == n:
             return m.astype(np.int64)
 
@@ -93,7 +96,6 @@ class TestShiftClass:
 
     def test_similarity_invariance(self, rng):
         """shift_class(m) == shift_class(s m s^-1) — at least 200 cases."""
-        from boxdyn.homology import solve_mod_p
         count = 0
         while count < 200:
             n = int(rng.integers(1, 6))
@@ -112,7 +114,6 @@ class TestShiftClass:
             count += 1
 
     def test_degree_equals_eventual_rank(self, rng):
-        from boxdyn.homology import rank_mod_p
         for _ in range(100):
             n = int(rng.integers(1, 6))
             m = rng.integers(0, P, size=(n, n)).astype(np.int64)
@@ -132,6 +133,24 @@ class TestShiftClass:
             if sc is not None:
                 assert sc[0] != 0
 
+    def test_stripping_matches_eventual_restriction(self):
+        """The Smith form's factors with their powers of x removed are the
+        invariant factors of the restriction to the eventual image, found
+        by the dense reference: block upper-triangular matrices with a
+        nilpotent block, a coupling block and a random relabelling."""
+        rng = np.random.default_rng(20261018)
+        for trial in range(200):
+            p = (2, 3, 5, 7)[trial % 4]
+            n = int(rng.integers(1, 8))
+            k = int(rng.integers(0, n + 1))
+            m = rng.integers(0, p, size=(n, n))
+            m[k:, :k] = 0
+            m[k:, k:] = np.triu(m[k:, k:], 1)  # nilpotent block
+            perm = rng.permutation(n)
+            m = m[np.ix_(perm, perm)]
+            assert shift_invariant_factors(m, p) == \
+                invariant_factors_mod_p(eventual_restriction(m, p), p)
+
 
 class TestInvariantFactors:
     def test_cyclic_vs_diagonal(self):
@@ -142,7 +161,6 @@ class TestInvariantFactors:
         assert list(invariant_factors_mod_p(swap, P)) == [(4, 0, 1)]
 
     def test_divisibility_chain(self, rng):
-        from boxdyn.conley import _poly_divmod
         for _ in range(100):
             n = int(rng.integers(1, 5))
             m = rng.integers(0, P, size=(n, n)).astype(np.int64)
@@ -150,6 +168,36 @@ class TestInvariantFactors:
             for a, b in zip(fs, fs[1:]):
                 _, rem = _poly_divmod(list(b), list(a), P)
                 assert not rem
+
+    def test_factor_counts_match_jordan_nullities(self):
+        """For each eigenvalue lam in F_p, as many factors are divisible
+        by (x - lam)^k as there are Jordan blocks of size >= k, which is
+        nullity((m - lam)^k) - nullity((m - lam)^(k-1)).  This separates
+        (x - 1), (x - 1) from (x - 1)^2, which the product cannot."""
+        rng = np.random.default_rng(20261019)
+        for trial in range(90):
+            p = (2, 3, 5)[trial % 3]
+            n = int(rng.integers(1, 7))
+            # a small spectrum gives repeated eigenvalues and long blocks
+            m = np.triu(rng.integers(0, p, size=(n, n)))
+            m[np.diag_indices(n)] = rng.integers(0, 2, size=n)
+            s = random_invertible(rng, n, p)
+            s_inv = np.column_stack([solve_mod_p(s, e, p)
+                                     for e in np.eye(n, dtype=np.int64)])
+            m = s @ m @ s_inv % p
+            fs = invariant_factors_mod_p(m, p)
+            for lam in range(p):
+                shifted = (m - lam * np.eye(n, dtype=np.int64)) % p
+                power = np.eye(n, dtype=np.int64)
+                nullity = [0]
+                root = (1,)
+                for k in range(1, n + 1):
+                    power = power @ shifted % p
+                    nullity.append(n - rank_mod_p(power, p))
+                    root = _poly_mul(root, ((-lam) % p, 1), p)
+                    divisible = sum(not _poly_divmod(f, root, p)[1]
+                                    for f in fs)
+                    assert divisible == nullity[k] - nullity[k - 1]
 
 
 class TestFormatPoly:
@@ -178,20 +226,30 @@ class TestConleyIndexObject:
         assert not ci.is_trivial()
 
     def test_shift_class_computed_once_per_dimension(self, monkeypatch):
-        """One eventual-image restriction per homology dimension: the
-        label is the product of the invariant factors already found."""
+        """One Smith form per homology dimension: the label is the
+        product of the invariant factors already found."""
         import boxdyn.conley as conley
         calls = []
-        restrict = conley._eventual_restriction
+        smith = conley.invariant_factors_mod_p
 
         def counted(m, p):
             calls.append(m.shape)
-            return restrict(m, p)
+            return smith(m, p)
 
-        monkeypatch.setattr(conley, "_eventual_restriction", counted)
+        monkeypatch.setattr(conley, "invariant_factors_mod_p", counted)
         ci = self._sample()
         assert ci.labels() == ("x - 1", "0")
         assert len(calls) == 2  # dimensions 0 and 1 of a 1-D grid
+
+    def test_refuses_a_box_map_other_than_the_condensations(self):
+        """The index pair is searched on cond.boxmap; another map, even on
+        the same grid, cannot be paired with it."""
+        g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
+        bm = build_boxmap(g, PiecewiseExample1D(1.5), 1e-3)
+        other = build_boxmap(g, PiecewiseExample1D(1.5), 0.5)
+        cond = condensation(bm)
+        with pytest.raises(BoxdynError, match="condensation"):
+            conley_index(other, cond, int(cond.recurrent[0]), prime=5)
 
     def test_json_round_trip(self):
         ci = self._sample()

@@ -134,30 +134,30 @@ class TestDownsetAndIndexPair:
     def test_downset_of_cycle(self):
         bm = self.bm()
         cond = condensation(bm)
-        assert downset(bm, cond, cond.component_of(0)).tolist() == [0, 1, 2]
+        assert downset(cond, cond.component_of(0)).tolist() == [0, 1, 2]
 
     def test_downset_of_sink(self):
         bm = self.bm()
         cond = condensation(bm)
-        assert downset(bm, cond, cond.component_of(2)).tolist() == [2]
+        assert downset(cond, cond.component_of(2)).tolist() == [2]
 
     def test_downset_requires_recurrent(self):
         bm = digraph_boxmap(3, [(0, 1), (1, 2), (2, 2)])
         cond = condensation(bm)
         with pytest.raises(NodeNotRecurrent):
-            downset(bm, cond, cond.component_of(0))
+            downset(cond, cond.component_of(0))
 
     def test_index_pair_sink(self):
         bm = self.bm()
         cond = condensation(bm)
-        pair = index_pair(bm, cond, cond.component_of(2))
+        pair = index_pair(cond, cond.component_of(2))
         assert pair.p1.tolist() == [2]
         assert pair.p0.tolist() == []
 
     def test_index_pair_cycle(self):
         bm = self.bm()
         cond = condensation(bm)
-        pair = index_pair(bm, cond, cond.component_of(0))
+        pair = index_pair(cond, cond.component_of(0))
         assert pair.p1.tolist() == [0, 1, 2]
         assert pair.p0.tolist() == [2]
 
@@ -165,7 +165,7 @@ class TestDownsetAndIndexPair:
         bm = self.bm()
         cond = condensation(bm)
         for cid in cond.recurrent:
-            pair = index_pair(bm, cond, int(cid))
+            pair = index_pair(cond, int(cid))
             assert verify_attracting_block(bm, pair.p1)
             assert verify_attracting_block(bm, pair.p0)
 
@@ -177,7 +177,7 @@ class TestDownsetAndIndexPair:
         top = [q for q in mg.nodes if all(mg.leq(x, q) for x in mg.nodes)]
         assert len(top) == 1
         top = top[0]
-        pair = index_pair(bm, cond, mg.component_ids[top])
+        pair = index_pair(cond, mg.component_ids[top])
         below = np.concatenate(
             [mg.downset_of(q) for q in mg.nodes if q != top and mg.leq(q, top)]
         )
@@ -201,7 +201,7 @@ class TestDownsetAndIndexPair:
         mg = morse_graph(cond)
         assert sorted(starts) == mg.component_ids
         for q, cid in enumerate(mg.component_ids):
-            pair = index_pair(bm, cond, cid)
+            pair = index_pair(cond, cid)
             assert set(pair.p1.tolist()) <= set(mg.downset_of(q).tolist())
         assert len(starts) == len(mg.nodes)
 
@@ -209,7 +209,7 @@ class TestDownsetAndIndexPair:
         bm = self.bm()
         cond = condensation(bm)
         cid = cond.component_of(0)
-        ds = downset(bm, cond, cid)
+        ds = downset(cond, cid)
         region = set(cond.members(cid).tolist())
         for b in ds:
             if int(b) in region:

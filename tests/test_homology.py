@@ -13,8 +13,6 @@ from boxdyn import (
     condensation,
     index_pair,
     induced_homology_map,
-    rank_mod_p,
-    solve_mod_p,
 )
 from boxdyn import homology
 from boxdyn.errors import BoxdynError, CarrierNotAcyclic
@@ -23,7 +21,7 @@ from boxdyn.outer_approx import BoxMap
 
 from conftest import (boundary_chains, boundary_matrix, brute_betti, carrier,
                       cell_coface_boxes, cell_faces, cells, charpoly_mod_p,
-                      decode, eager_reduction)
+                      decode, eager_reduction, rank_mod_p, solve_mod_p)
 
 
 def grid1d(depth=3, lo=0.0, hi=1.0):
@@ -427,7 +425,7 @@ class TestChainMap:
         top_box = g.linearize(g.box_containing([1.0]))
         cid = cond.component_of(top_box)
         assert cond.is_recurrent(cid)
-        pair = index_pair(bm, cond, cid)
+        pair = index_pair(cond, cid)
         cx = PairComplex(g, pair.p1, pair.p0)
         basis = HomologyBasis(cx)
         assert basis.betti_numbers(1) == [0, 1]
@@ -509,7 +507,7 @@ class TestChainMap:
         g = grid2d(3, 3)
         bm = build_boxmap(g, CallableOracle(lambda x: 2.0 * x - 0.5, 2.0, 2), 0.0)
         cond = condensation(bm)
-        pair = index_pair(bm, cond, cond.component_of(
+        pair = index_pair(cond, cond.component_of(
             g.linearize(g.box_containing([0.4, 0.4]))))
         cx = PairComplex(g, pair.p1, pair.p0)
         basis = HomologyBasis(cx)
@@ -533,7 +531,7 @@ class TestChainMap:
         cond = condensation(bm)
         top_box = g.linearize(g.box_containing([1.0]))
         cid = cond.component_of(top_box)
-        pair = index_pair(bm, cond, cid)
+        pair = index_pair(cond, cid)
         cx = PairComplex(g, pair.p1, pair.p0)
         basis = HomologyBasis(cx)
         m1 = induced_homology_map(chain_map(bm, cx, vertex_rule="smallest"), basis)

@@ -7,11 +7,12 @@ along which it extends as mask; sorted codes run by dimension, then
 anchor, then mask.  The relative complex of a pair of box sets (P1, P0)
 is realized as the quotient: a cell survives iff it has at least one
 coface box in P1 \\ P0 and none in P0.  PairComplex builds the closure
-(every face of a box of P1 \\ P0), its coface boxes and the boundary of
-every closure cell in a few numpy passes.  A quotient cell is its
-position 0..n-1 in closure order, which is the reduction order: chains
-over the quotient are dicts position -> coefficient, and chains in the
-full complex, where the chain map is built, dicts code -> coefficient.
+(every face of a box of P1 \\ P0), its coface boxes, the boundary of
+every closure cell and the quotient cofaces in a few numpy passes.  A
+quotient cell is its position 0..n-1 in closure order, which is the
+reduction order: chains and cochains over the quotient are dicts
+position -> coefficient, and chains in the full complex, where the
+chain map is built, dicts code -> coefficient.
 
 Homology comes from a column reduction R = D V that runs from the top
 dimension down with clearing (Chen and Kerber, Persistent homology
@@ -24,8 +25,19 @@ are lazy, as in PHAT (Bauer, Kerber, Reininghaus and Wagner, 2014): the
 low (highest quotient face) of every column comes from one numpy pass,
 a column whose low is not yet a pivot takes it as it stands, and a
 column becomes a dict only when an elimination reads or changes it.
-Each elimination, in the reduction and in projecting a cycle onto the
-homology basis, takes the next highest key of its chain from a max-heap.
+Each elimination takes the next highest key of its chain from a
+max-heap.
+
+The same reduction gives, for each essential cell i of dimension k, a
+cocycle zeta_i dual to the representatives, <zeta_i, z_j> = delta_ij (de
+Silva, Morozov and Vejdemo-Johansson, Dualities in persistent
+(co)homology, 2011).  For k >= 1, zeta_i is e_i plus multiples of the
+pivot rows of dimension k, found by increasing pivot row so that zeta_i
+vanishes on every reduced column one dimension up, hence on every
+boundary.  For k = 0 it is the indicator of i's component in the
+quotient's 1-skeleton.  Both checks, delta(zeta_i) = 0 and the pairing,
+run on every cocycle.  A relative cycle's coordinates in the homology
+basis are its pairings with the cocycles.
 
 The index map on homology is built as an acyclic-carrier chain map.
 The carrier used for construction assigns to each cell the intersection
@@ -34,10 +46,11 @@ target ranges, so this carrier is itself a box rectangle, contained in
 the union carrier.  A face has every coface box of its cell and more,
 so faces have smaller carriers: phi(del(sigma)) lies in sigma's
 rectangle, where del(c) = phi(del(sigma)) is solved in closed form by a
-chain contraction instead of linear algebra.  phi is evaluated on
-demand, from the faces up, only on the cells the index reads (the
-homology representatives and their faces), and del(phi) = phi(del) is
-checked on every cell whose phi is computed.
+chain contraction instead of linear algebra.  Entry (i, j) of the index
+matrix is the sum over sigma of z_j(sigma) <zeta_i, phi(sigma)>, so phi
+is evaluated, from the faces up, only on the representative cells whose
+rectangle contains a cell of some cocycle's support, and del(phi) =
+phi(del) is checked on every cell whose phi is computed.
 """
 
 from __future__ import annotations
@@ -45,6 +58,8 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BoxdynError, CarrierNotAcyclic
 from .grid import CubicalGrid
@@ -63,6 +78,13 @@ def _axpy(dst: dict, src: dict, coef: int, p: int) -> None:
             dst[key] = nv
         else:
             dst.pop(key, None)
+
+
+def _dot(a: dict, b: dict) -> int:
+    """sum of a[key] * b[key] over the shared keys, read off the smaller."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(v * b.get(key, 0) for key, v in a.items())
 
 
 def _eliminate(vec: dict, track: dict, column, p: int) -> int:
@@ -117,6 +139,8 @@ class PairComplex:
     it, with signs in signs[r] (0 for no face); position[r] is the row's
     quotient position or -1, and its extra last slot answers for -1.
     rows and dims give each quotient cell's closure row and dimension.
+    qcof[j, s] is the quotient coface whose face slot s holds the
+    quotient cell j, -1 for none: the transpose of qfaces.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
@@ -165,8 +189,8 @@ class PairComplex:
         # (-1)^(extended axes below i), the lower face's the opposite.  The
         # closure holds every face of its cells, so each search hits.
         n = self.closure.size
-        self.faces = np.full((n, 2 * d), -1, dtype=np.int64)
-        self.signs = np.zeros((n, 2 * d), dtype=np.int64)
+        self.faces = np.full((n, 2 * d), -1, dtype=np.int32)
+        self.signs = np.zeros((n, 2 * d), dtype=np.int8)
         for i in range(d):
             j = np.flatnonzero((mask >> i) & 1)
             lower = self.closure[j] - (self._n_vertices << d) - (1 << i)
@@ -183,9 +207,15 @@ class PairComplex:
         self.position = np.full(n + 1, -1, dtype=np.int64)
         self.position[self.rows] = np.arange(self.rows.size)
         self.dims = popcount[mask[self.rows]]
-        # quotient faces (positions, -1 outside) and signs, flat Python
-        # lists, since boundary() reads one cell at a time
-        self._quotient_faces = (self.position[self.faces[self.rows]].ravel().tolist(),
+        qfaces = self.qfaces(slice(None))
+        # a cell is face slot s of at most one cell, so the scatter is exact
+        self.qcof = np.full(qfaces.shape, -1, dtype=np.int32)
+        for slot in range(2 * d):
+            j = np.flatnonzero(qfaces[:, slot] >= 0)
+            self.qcof[qfaces[j, slot], slot] = j
+        # quotient faces and signs as flat Python lists, since boundary()
+        # reads one cell at a time
+        self._quotient_faces = (qfaces.ravel().tolist(),
                                 self.signs[self.rows].ravel().tolist())
 
     def _decode(self, codes: np.ndarray):
@@ -210,6 +240,11 @@ class PairComplex:
                 out[int(self.position[row])] = v
         return out
 
+    def qfaces(self, positions) -> np.ndarray:
+        """Quotient positions of the faces of the quotient cells at
+        positions, by face slot; -1 for none or outside the quotient."""
+        return self.position[self.faces[self.rows[positions]]]
+
     def boundary(self, j: int) -> dict:
         """del of the quotient cell at position j, within the quotient, as
         a dict position -> sign."""
@@ -232,19 +267,21 @@ class HomologyBasis:
     clearing as the module docstring describes.  A column with zero
     reduced boundary whose own index is never a pivot is an essential
     cell; its V column is a representative cycle, and the only V column
-    kept once its dimension is reduced.  project expresses any relative
-    cycle in the representatives by the same elimination.
+    kept once its dimension is reduced.  cocycles(dim) gives the dual
+    cocycles, and project a relative cycle's coordinates by pairing with
+    them.
     """
 
     def __init__(self, complex: PairComplex):
         self.complex = complex
         d = complex.grid.dimension
         bounds = np.searchsorted(complex.dims, np.arange(d + 2))
-        lows = complex.position[complex.faces[complex.rows]].max(axis=1).tolist()
+        lows = complex.qfaces(slice(None)).max(axis=1).tolist()
 
         self._R = {}  # columns an elimination changed, dict row -> coeff
         self._pivot_of = pivot_of = {}  # low row -> column with that pivot
         self._V = {}  # dim -> {essential column: representative cycle}
+        self._cocycles = {}  # dim -> dual cocycles, computed on first use
         for dim in reversed(range(d + 1)):
             a, b = int(bounds[dim]), int(bounds[dim + 1])
             V, essential = {}, {}  # V: the columns other than {j: 1}
@@ -280,25 +317,117 @@ class HomologyBasis:
         """Cycle chains (position -> coeff dicts) generating H_dim."""
         return list(self._V.get(dim, {}).values())
 
+    def cocycles(self, dim: int):
+        """Cochains (position -> coeff dicts) zeta_i with delta(zeta_i) = 0
+        and <zeta_i, z_j> = delta_ij for the representatives z_j, in the
+        order of representatives(dim); computed on first use and checked."""
+        out = self._cocycles.get(dim)
+        if out is None:
+            out = self._components() if dim == 0 else self._push_up(dim)
+            self._check_cocycles(out, dim)
+            self._cocycles[dim] = out
+        return out
+
+    def _components(self):
+        """Dimension 0: a 0-cocycle is constant along every quotient edge
+        with both faces in the quotient, so each cocycle is the indicator
+        of its essential vertex's component of that 1-skeleton."""
+        essential = list(self._V.get(0, {}))
+        if not essential:
+            return []
+        cx = self.complex
+        n0, n1 = np.searchsorted(cx.dims, [1, 2])
+        # an edge has its upper and lower face in one pair of slots and -1
+        # in the others; its lower face shares its anchor, so lower faces
+        # run in position order and are the rows of a CSR matrix as they are
+        ends = cx.qfaces(slice(n0, n1))
+        upper, lower = ends[:, 0], ends[:, 1]
+        for i in range(1, cx.grid.dimension):
+            upper = np.maximum(upper, ends[:, 2 * i])
+            lower = np.maximum(lower, ends[:, 2 * i + 1])
+        inner = (upper >= 0) & (lower >= 0)
+        indptr = np.searchsorted(lower[inner], np.arange(n0 + 1))
+        graph = csr_matrix((np.ones(indptr[-1]), upper[inner], indptr), shape=(n0, n0))
+        _, labels = connected_components(graph, directed=False)
+        return [dict.fromkeys(np.flatnonzero(labels == labels[i]).tolist(), 1)
+                for i in essential]
+
+    def _push_up(self, dim: int):
+        """Dimension >= 1: zeta_i = e_i + sum of beta_l e_l over the pivot
+        rows l of dimension dim.  A min-heap holds, by low, the pivot
+        columns one dimension up whose reduced column meets the support;
+        popping low l sets beta_l so that zeta_i vanishes on that column.
+        Rows added later are above l, so it vanishes there for good."""
+        cx, p, pivot_of = self.complex, self.complex.prime, self._pivot_of
+        a, b = np.searchsorted(cx.dims, [dim + 1, dim + 2])
+        changed = {}  # row -> changed pivot columns one dimension up
+        for c, col in self._R.items():
+            if a <= c < b:
+                for r in col:
+                    changed.setdefault(r, []).append(c)
+
+        out = []
+        for i in self._V.get(dim, {}):
+            zeta, heap, queued = {i: 1}, [], set()
+
+            def meet(r):
+                cols = [c for c in cx.qcof[r].tolist() if c >= 0 and c not in self._R]
+                for c in cols + changed.get(r, []):
+                    if c not in queued:
+                        queued.add(c)
+                        col = self._column(c)
+                        low = max(col)
+                        if pivot_of.get(low) == c:
+                            heapq.heappush(heap, (low, c, col))
+
+            meet(i)
+            while heap:
+                low, _, col = heapq.heappop(heap)
+                pair = _dot(zeta, col) % p
+                if pair:
+                    zeta[low] = (-pair * _inv_mod(col[low], p)) % p
+                    meet(low)
+            out.append(zeta)
+        return out
+
+    def _check_cocycles(self, cocycles, dim: int):
+        """delta(zeta) = 0 on the cofaces of its support, and the pairing
+        with the representatives is the identity; violations are bugs."""
+        cx, p = self.complex, self.complex.prime
+        reps = self.representatives(dim)
+        for i, zeta in enumerate(cocycles):
+            pos = np.fromiter(zeta, dtype=np.int64, count=len(zeta))
+            val = np.fromiter(zeta.values(), dtype=np.int64, count=len(zeta))
+            # delta(zeta) at coface c = qcof[r, s] sums zeta(r) times the
+            # sign of face slot s of c over the support cells r
+            cof = cx.qcof[pos]
+            r, slot = np.nonzero(cof >= 0)
+            c = cof[r, slot]
+            delta = np.bincount(c, weights=val[r] * cx.signs[cx.rows[c], slot])
+            bad = delta[c].astype(np.int64) % p
+            if bad.any():
+                cell = cx.cell(cx.closure[cx.rows[c[np.argmax(bad != 0)]]])
+                raise BoxdynError(f"cochain {i} of dimension {dim} is not a "
+                                  f"cocycle at {cell}")
+            for j, z in enumerate(reps):
+                if _dot(zeta, z) % p != int(i == j):
+                    raise BoxdynError(f"cocycle {i} of dimension {dim} pairs to "
+                                      f"a value other than delta_ij with cycle {j}")
+
+    def pair(self, chain: dict, dim: int) -> np.ndarray:
+        """(<zeta_i, chain>)_i over F_p, for any dim-chain."""
+        p = self.complex.prime
+        return np.array([_dot(zeta, chain) % p for zeta in self.cocycles(dim)],
+                        dtype=np.int64)
+
     def project(self, chain: dict, dim: int) -> np.ndarray:
         """Coordinates of a relative cycle in the dim-homology basis."""
-        p = self.complex.prime
-        vec = {j: v % p for j, v in chain.items() if v % p}
-        reps = self._V.get(dim, {})
-
-        def column(low):
-            k = self._pivot_of.get(low)
-            if k is not None:
-                # a boundary column: changes nothing in homology
-                return self._column(k), {}
-            if low in reps:
-                # V_low has unit pivot at low; coords[low] gains coef
-                return reps[low], {low: -1}
+        bd = {}
+        for j, v in chain.items():
+            _axpy(bd, self.complex.boundary(j), v, self.complex.prime)
+        if bd:
             raise BoxdynError("chain is not a relative cycle")
-
-        coords = {}
-        _eliminate(vec, coords, column, p)
-        return np.array([coords.get(j, 0) for j in reps], dtype=np.int64)
+        return self.pair(chain, dim)
 
     def betti_numbers(self, max_dim: int):
         return [self.rank(k) for k in range(max_dim + 1)]
@@ -354,7 +483,7 @@ class ChainMapData(dict):
                  vertex_rule: str):
         super().__init__()
         self.complex = complex
-        self._lo = lo  # carriers' lower corners per closure row
+        self._lo, self._hi = lo, hi  # carriers' box corners per closure row
         corner = lo if vertex_rule == "smallest" else hi + 1
         self._vertex = (corner @ np.array(complex._vstrides)) << complex.grid.dimension
         self._full = {}  # closure row -> phi in the full complex
@@ -397,10 +526,25 @@ class ChainMapData(dict):
             raise BoxdynError("chain map does not commute with boundary at "
                               f"{cx.cell(cx.closure[cx.rows[j]])}")
 
-    def apply(self, chain: dict) -> dict:
-        out = {}
-        for j, coef in chain.items():
-            _axpy(out, self[j], coef, self.complex.prime)
+    def carriers_contain(self, positions: np.ndarray,
+                         targets: np.ndarray) -> np.ndarray:
+        """For each quotient cell in positions, whether its carrier
+        rectangle, the vertex box [lo, hi + 1] that holds its phi,
+        contains a cell of targets; phi of any other cell pairs to zero
+        with a cochain supported on targets."""
+        cx = self.complex
+        d = cx.grid.dimension
+        start, mask = cx._decode(cx.closure[cx.rows[targets]])
+        end = start + ((mask[:, None] >> np.arange(d)) & 1)
+        rows = cx.rows[positions]
+        out = np.zeros(rows.size, dtype=bool)
+        step = max(1, (1 << 20) // targets.size)  # bounds the block
+        for k in range(0, rows.size, step):
+            lo, hi = self._lo[rows[k:k + step]], self._hi[rows[k:k + step]] + 1
+            inside = np.ones((lo.shape[0], targets.size), dtype=bool)
+            for i in range(d):
+                inside &= (lo[:, i, None] <= start[:, i]) & (end[:, i] <= hi[:, i, None])
+            out[k:k + step] = inside.any(axis=1)
         return out
 
 
@@ -422,8 +566,8 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
 
     # guard: a region box adjacent to an exterior box would let chains
     # escape the quotient through the shared face; refuse loudly.
-    qcof = cof[complex.rows]
-    if ((qcof >= 0) & ~in_p1[qcof] & exterior[qcof]).any():
+    qbox = cof[complex.rows]
+    if ((qbox >= 0) & ~in_p1[qbox] & exterior[qbox]).any():
         raise BoxdynError("index pair touches exterior boxes; enlarge the "
                           "domain or refine the grid")
 
@@ -448,12 +592,27 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
 
 
 def induced_homology_map(cm: ChainMapData, basis: HomologyBasis) -> dict:
-    """Matrix of the chain map on H_k for each dimension, over F_p."""
+    """Matrix of the chain map on H_k for each dimension, over F_p.
+
+    Column j is sum over sigma of z_j(sigma) <zeta_i, phi(sigma)>, with phi
+    computed only on the representative cells it can be nonzero on."""
     complex = cm.complex
+    p = complex.prime
     out = {}
     for dim in range(complex.grid.dimension + 1):
-        mat = np.zeros((basis.rank(dim),) * 2, dtype=np.int64)
-        for j, rep in enumerate(basis.representatives(dim)):
-            mat[:, j] = basis.project(cm.apply(rep), dim)
+        reps = basis.representatives(dim)
+        mat = np.zeros((len(reps),) * 2, dtype=np.int64)
+        if reps:
+            cells = np.fromiter(set().union(*reps), dtype=np.int64)
+            if dim:  # phi of a vertex is one vertex, cheaper than the test
+                support = np.fromiter(set().union(*basis.cocycles(dim)),
+                                      dtype=np.int64)
+                cells = cells[cm.carriers_contain(cells, support)]
+            pairs = {j: basis.pair(cm[j], dim) for j in cells.tolist()}
+            for col, rep in enumerate(reps):
+                for j, v in rep.items():
+                    if j in pairs:
+                        mat[:, col] += v * pairs[j]
+            mat %= p
         out[dim] = mat
     return out

@@ -27,6 +27,10 @@ from .grid import CubicalGrid, PhaseSpace, Rect
 #: rounded to nearest, none outward.
 ENCLOSURE_SEMANTICS = "v1"
 
+# image_rects asks enclosures for slabs of about this many boxes, whole
+# layers along the first axis, so the temporaries of one call stay small
+_SLAB_BOXES = 1 << 16
+
 
 class MapOracle(ABC):
     """Evaluable map with rectangle image enclosures and a Lipschitz bound."""
@@ -84,9 +88,22 @@ class MapOracle(ABC):
     def image_rects(self, grid: CubicalGrid):
         """Image enclosures of every grid box; returns (lo, hi), shape (n, d).
 
-        Boxes are ordered by linearized index.
+        Boxes are ordered by linearized index.  enclosures runs on slabs
+        of whole layers along the first axis, each contiguous in that
+        order: as many layers as fit in _SLAB_BOXES boxes, at least one.
         """
-        return self.enclosures(grid.faces)
+        layer = grid.box_count // grid.shape[0]
+        step = max(1, _SLAB_BOXES // layer)
+        if step >= grid.shape[0]:  # one slab: no copy
+            return self.enclosures(grid.faces)
+        lo = np.empty((grid.box_count, grid.dimension))
+        hi = np.empty((grid.box_count, grid.dimension))
+        for a in range(0, grid.shape[0], step):
+            b = min(a + step, grid.shape[0])
+            rows = slice(a * layer, b * layer)
+            lo[rows], hi[rows] = self.enclosures([grid.faces[0][a:b + 1]]
+                                                 + list(grid.faces[1:]))
+        return lo, hi
 
 
 def _product(axes) -> np.ndarray:

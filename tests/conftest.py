@@ -160,6 +160,55 @@ def eager_reduction(complex):
     return pivot_of, reps
 
 
+def apply_chain_map(cm, chain):
+    """phi of a whole chain over positions, summed cell by cell."""
+    from boxdyn.homology import _axpy
+
+    out = {}
+    for j, coef in chain.items():
+        _axpy(out, cm[j], coef, cm.complex.prime)
+    return out
+
+
+def eliminate_project(basis, chain, dim):
+    """Coordinates of a relative cycle in the dim-homology basis, found by
+    eliminating it against the reduced columns and the representatives;
+    the reference for HomologyBasis.project, which pairs with cocycles."""
+    from boxdyn.errors import BoxdynError
+    from boxdyn.homology import _eliminate
+
+    p = basis.complex.prime
+    vec = {j: v % p for j, v in chain.items() if v % p}
+    reps = basis._V.get(dim, {})
+
+    def column(low):
+        k = basis._pivot_of.get(low)
+        if k is not None:
+            # a boundary column: changes nothing in homology
+            return basis._column(k), {}
+        if low in reps:
+            # V_low has unit pivot at low; coords[low] gains coef
+            return reps[low], {low: -1}
+        raise BoxdynError("chain is not a relative cycle")
+
+    coords = {}
+    _eliminate(vec, coords, column, p)
+    return np.array([coords.get(j, 0) for j in reps], dtype=np.int64)
+
+
+def reference_induced_map(cm, basis):
+    """The index matrices with phi applied to whole representatives and
+    projected by elimination: the reference for induced_homology_map."""
+    out = {}
+    for dim in range(cm.complex.grid.dimension + 1):
+        reps = basis.representatives(dim)
+        mat = np.zeros((len(reps),) * 2, dtype=np.int64)
+        for j, rep in enumerate(reps):
+            mat[:, j] = eliminate_project(basis, apply_chain_map(cm, rep), dim)
+        out[dim] = mat
+    return out
+
+
 def _row_reduce(mat: np.ndarray, p: int):
     """Gauss-Jordan elimination over F_p: (reduced row echelon form,
     pivot columns in increasing order)."""

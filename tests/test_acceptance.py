@@ -34,8 +34,8 @@ from boxdyn import (
     shift_class,
     shift_invariant_factors,
 )
-from conftest import (boundary_chains, brute_betti, brute_sccs,
-                      digraph_boxmap, rank_mod_p, solve_mod_p)
+from conftest import (apply_chain_map, boundary_chains, brute_betti,
+                      brute_sccs, digraph_boxmap, rank_mod_p, solve_mod_p)
 
 
 def report(n, checks):
@@ -313,7 +313,7 @@ class TestCriterion5:
                     for face, bv in bd[c2].items():
                         lhs[face] = (lhs.get(face, 0) + v * bv) % cx.prime
                 lhs = {c: v for c, v in lhs.items() if v}
-                ok &= lhs == cm.apply(bd[cell])
+                ok &= lhs == apply_chain_map(cm, bd[cell])
         report("5d", [("del(del)=0 and del(phi)=phi(del), 200 cases", ok)])
 
     def test_e_shift_class_similarity_invariance(self, rng):

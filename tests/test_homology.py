@@ -5,6 +5,7 @@ from boxdyn import (
     CallableOracle,
     CubicalGrid,
     HomologyBasis,
+    LeslieOracle,
     PairComplex,
     PhaseSpace,
     PiecewiseExample1D,
@@ -13,15 +14,18 @@ from boxdyn import (
     condensation,
     index_pair,
     induced_homology_map,
+    morse_graph,
 )
 from boxdyn import homology
 from boxdyn.errors import BoxdynError, CarrierNotAcyclic
 from boxdyn.homology import _contract
+from boxdyn.oracles import MapOracle
 from boxdyn.outer_approx import BoxMap
 
-from conftest import (boundary_chains, boundary_matrix, brute_betti, carrier,
-                      cell_coface_boxes, cell_faces, cells, charpoly_mod_p,
-                      decode, eager_reduction, rank_mod_p, solve_mod_p)
+from conftest import (apply_chain_map, boundary_chains, boundary_matrix,
+                      brute_betti, carrier, cell_coface_boxes, cell_faces,
+                      cells, charpoly_mod_p, decode, eager_reduction,
+                      rank_mod_p, reference_induced_map, solve_mod_p)
 
 
 def grid1d(depth=3, lo=0.0, hi=1.0):
@@ -451,7 +455,7 @@ class TestChainMap:
                         nv = (lhs.get(face, 0) + v * bv) % cx.prime
                         lhs[face] = nv
                 lhs = {c: v for c, v in lhs.items() if v}
-                rhs = cm.apply(bd[cell])
+                rhs = apply_chain_map(cm, bd[cell])
                 assert lhs == rhs
 
     def test_phi_supported_in_declared_carrier(self):
@@ -538,3 +542,135 @@ class TestChainMap:
         m2 = induced_homology_map(chain_map(bm, cx, vertex_rule="largest"), basis)
         for dim in (0, 1):
             assert charpoly_mod_p(m1[dim], 5) == charpoly_mod_p(m2[dim], 5)
+
+
+class ProductOracle(MapOracle):
+    """x -> (f_i(x_i)), f_i two steps of y -> y + eps_i sin(2 pi k_i y),
+    reversed (y -> 1 - y) where flip_i.  |2 pi k_i eps_i| < 1, so each
+    f_i is monotone and a box's image is the product of the images of
+    its edges, exactly."""
+
+    def __init__(self, eps, k, flip):
+        self.eps, self.k, self.flip = eps, k, flip
+
+    @property
+    def dimension(self):
+        return len(self.eps)
+
+    def lipschitz_upper_bound(self):
+        return float(1 + 2 * np.pi * np.abs(self.k * self.eps).max()) ** 2
+
+    def _axis(self, i, x):
+        for _ in range(2):
+            x = x + self.eps[i] * np.sin(2 * np.pi * self.k[i] * x)
+        return 1.0 - x if self.flip[i] else x
+
+    def eval_batch(self, points):
+        return np.column_stack([self._axis(i, points[:, i])
+                                for i in range(self.dimension)])
+
+    def enclosures(self, faces):
+        ends = [self._axis(i, f) for i, f in enumerate(faces)]
+        out = []
+        for pick in (np.minimum, np.maximum):
+            mesh = np.meshgrid(*[pick(v[:-1], v[1:]) for v in ends], indexing="ij")
+            out.append(np.stack(mesh, axis=-1).reshape(-1, self.dimension))
+        return tuple(out)
+
+
+def node_complexes(bm):
+    """The pair complex of every Morse node of a box map."""
+    cond = condensation(bm)
+    return [PairComplex(bm.grid, pair.p1, pair.p0)
+            for pair in (index_pair(cond, cid)
+                         for cid in morse_graph(cond).component_ids)]
+
+
+@pytest.fixture(scope="module")
+def leslie77():
+    """Leslie at depths (7, 7), rho = 0.03: its box map and the pair
+    complex of every node.  The attractor has H_0 of rank 3 and the
+    saddle H_1 of rank 3."""
+    grid = CubicalGrid(PhaseSpace((0.0, 0.0), (90.0, 70.0)), (7, 7))
+    bm = build_boxmap(grid, LeslieOracle((23.5, 23.5)), 0.03)
+    return bm, node_complexes(bm)
+
+
+class TestCocycles:
+    def test_induced_map_matches_elimination_reference(self):
+        """Index matrices from cocycles, with phi only where a cocycle
+        reads it, equal phi of whole representatives projected by
+        elimination; every node of random product maps in dimensions
+        1-3, with expanding, contracting and reversed axes, and both
+        vertex rules."""
+        rng = np.random.default_rng(16)
+        seen = set()
+        for case, depths in enumerate(([6], [5, 5], [4, 4, 4], [5], [4, 5],
+                                       [3, 4, 4], [6], [5, 4], [4, 4, 3])):
+            rule = ("smallest", "largest")[case % 2]
+            d = len(depths)
+            k = rng.integers(1, 3 if d == 1 else 2, size=d)
+            eps = (rng.choice([-1, 1], size=d) * rng.uniform(0.6, 0.95, size=d)
+                   / (2 * np.pi * k))
+            g = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d), depths)
+            bm = build_boxmap(g, ProductOracle(eps, k, rng.random(d) < 0.3),
+                              float(rng.uniform(0.02, 0.05)))
+            for cx in node_complexes(bm):
+                basis = HomologyBasis(cx)
+                got = induced_homology_map(chain_map(bm, cx, rule), basis)
+                want = reference_induced_map(chain_map(bm, cx, rule), basis)
+                for dim in range(d + 1):
+                    assert np.array_equal(got[dim], want[dim])
+                    if got[dim].size:
+                        seen.add((dim, got[dim].tolist() == [[1]]))
+        assert {(1, True), (1, False), (2, True), (2, False)} <= seen
+
+    def test_induced_map_matches_reference_on_pinned_nodes(self, leslie77):
+        """The same on every node of Leslie (7, 7) and of the piecewise
+        map at depth 10, the attractor through the dimension-0 path and
+        the saddle through the push-up."""
+        g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [10])
+        piecewise = build_boxmap(g, PiecewiseExample1D(1.5), 1e-3)
+        ranks = []
+        for bm, complexes in (leslie77, (piecewise, node_complexes(piecewise))):
+            for cx in complexes:
+                basis = HomologyBasis(cx)
+                got = induced_homology_map(chain_map(bm, cx), basis)
+                want = reference_induced_map(chain_map(bm, cx), basis)
+                for dim in got:
+                    assert np.array_equal(got[dim], want[dim])
+                ranks.append(basis.betti_numbers(cx.grid.dimension))
+        assert [3, 0, 0] in ranks and [0, 3, 0] in ranks
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    @pytest.mark.parametrize("corrupt, match", [("coefficient", "not a cocycle"),
+                                                ("drop", "not a cocycle"),
+                                                ("sum", "delta_ij")])
+    def test_cocycle_checks_fire(self, leslie77, monkeypatch, dim, corrupt, match):
+        """A cocycle with one coefficient changed or one support cell
+        dropped (not its essential cell) is not a cocycle; zeta_0 +
+        zeta_1 is one, but pairs to 1 with z_1.  Each is refused, on the
+        attractor's dimension-0 path and the saddle's push-up."""
+        _, complexes = leslie77
+        cx = next(cx for cx in complexes if HomologyBasis(cx).rank(dim) >= 2)
+        basis = HomologyBasis(cx)
+        name = "_components" if dim == 0 else "_push_up"
+        compute = getattr(HomologyBasis, name)
+
+        def corrupted(self, *args):
+            out = compute(self, *args)
+            zeta = out[0]
+            essential = next(iter(self._V[dim]))
+            r = next(r for r in zeta if r != essential and (cx.qcof[r] >= 0).any())
+            if corrupt == "coefficient":
+                zeta[r] = (zeta[r] + 1) % cx.prime
+            elif corrupt == "drop":
+                del zeta[r]
+            else:
+                for j, v in out[1].items():
+                    zeta[j] = (zeta.get(j, 0) + v) % cx.prime
+            return out
+
+        monkeypatch.setattr(HomologyBasis, name, corrupted)
+        with pytest.raises(BoxdynError, match=match):
+            basis.cocycles(dim)

@@ -8,11 +8,16 @@ machinery shows up as a structural diff rather than a silent drift.
 
 from boxdyn import (
     CubicalGrid,
+    HomologyBasis,
+    PairComplex,
     PhaseSpace,
     PiecewiseExample1D,
     build_boxmap,
+    chain_map,
     condensation,
     conley_index,
+    index_pair,
+    induced_homology_map,
     morse_graph,
 )
 
@@ -50,6 +55,26 @@ def test_piecewise_depth10_structure():
     assert sizes == [2, 1, 2, 1, 2]
     assert sorted(mg.hasse_edges()) == [(0, 1), (1, 2), (3, 2), (4, 3)]
     assert mg.minimal_nodes() == [0, 4]
+
+
+def test_piecewise_depth10_index_matrices():
+    # the index map on H_0 and H_1 of each node, in node order
+    grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [10])
+    bm = build_boxmap(grid, PiecewiseExample1D(1.5), 1e-3)
+    cond = condensation(bm)
+    mats = []
+    for cid in morse_graph(cond).component_ids:
+        pair = index_pair(cond, cid)
+        cx = PairComplex(grid, pair.p1, pair.p0, 5)
+        m = induced_homology_map(chain_map(bm, cx), HomologyBasis(cx))
+        mats.append([m[0].tolist(), m[1].tolist()])
+    assert mats == [
+        [[[1]], []],
+        [[], []],
+        [[], [[1]]],
+        [[], []],
+        [[[1]], []],
+    ]
 
 
 def test_leslie_depth9_structure(leslie_coarse):

@@ -284,6 +284,10 @@ def run_analysis(cfg: AnalysisConfig):
         "n_boxes": grid.box_count,
         "n_exterior_boxes": int(boxmap.exterior.sum()),
         "n_morse_nodes": len(mg.nodes),
+        "graph": {
+            "levels": cond.levels,
+            "recurrent_boxes": sum(int(r.size) for r in mg.regions),
+        },
         "timings": timings,
         "versions": {
             "boxdyn": __version__,

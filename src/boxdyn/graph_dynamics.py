@@ -2,10 +2,24 @@
 
 The condensation collapses strongly connected components; components
 containing at least one edge are recurrent, and the Morse graph is the
-poset of recurrent components under reachability.  Every algorithm here
-reads the box map's CSR adjacency: scipy's strongly connected
-components give the condensation, and a breadth-first search from a
-recurrent component gives its downset and, with it, the Morse order.
+poset of recurrent components under reachability.
+
+condensation works on a pyramid of box maps.  Halving every axis of
+size > 1 gives the next coarser level, down to at most _COARSEST_BOXES
+boxes.  A coarse box's range is the hull of its non-exterior children's
+ranges, shifted down one level, so a fine edge a -> b gives the coarse
+edge parent(a) -> parent(b).  Going from the coarsest level to the
+finest, each level expands only its candidate boxes (all boxes at the
+coarsest level) into a CSR graph.  scipy's strongly connected
+components give its recurrent boxes; a breadth-first search gives the
+forward closure D of those boxes, and the children of D are the next
+level's candidates.  A fine box reachable from a fine cycle lies under
+D, so the candidates hold the union of the fine downsets and every edge
+out of it.  The SCCs, the recurrent components and every downset of
+the candidate graph are therefore those of the whole grid; a box
+outside the candidates is a non-recurrent singleton.  A breadth-first
+search on the finest candidate graph gives each downset and, with it,
+the Morse order.
 """
 
 from __future__ import annotations
@@ -13,27 +27,38 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import BoxdynError, NodeNotRecurrent
 from .grid import CubicalGrid, PhaseSpace
 from .outer_approx import BoxMap
 
+# the coarsest level of condensation's pyramid has at most this many boxes
+_COARSEST_BOXES = 1 << 12
+
 
 class Condensation:
     """SCC partition of a box map with recurrence flags.
 
     Component ids are the smallest linearized box index of each member
-    set, which makes numbering deterministic across runs.
+    set, which makes numbering deterministic across runs.  candidates
+    is a sorted, forward-closed set of boxes that holds every box a
+    recurrent box reaches, and graph is the box map's CSR graph on them,
+    in positions of candidates.  levels records, coarsest first, each
+    level's grid shape and the size of its candidate graph.
     """
 
     def __init__(self, boxmap: BoxMap, comp_of: np.ndarray,
-                 recurrent: np.ndarray):
+                 recurrent: np.ndarray, candidates: np.ndarray,
+                 graph: csr_matrix, levels: list):
         self.boxmap = boxmap
         self.comp_of = comp_of  # flat box index -> component id
         self.recurrent = recurrent  # sorted array of recurrent component ids
+        self.candidates = candidates
+        self.graph = graph
+        self.levels = levels
         self._recurrent_set = set(int(c) for c in recurrent)
-        self._dag_edges = None
         self._downsets = {}  # recurrent component id -> downset (read-only)
 
     def component_of(self, box: int) -> int:
@@ -52,31 +77,123 @@ class Condensation:
     def n_components(self) -> int:
         return self.component_ids().size
 
-    def dag_edges(self):
-        """Deduplicated edges between distinct components."""
-        if self._dag_edges is None:
-            coo = self.boxmap.adjacency().tocoo()
-            cs, ct = self.comp_of[coo.row], self.comp_of[coo.col]
-            keep = cs != ct
-            self._dag_edges = set(zip(cs[keep].tolist(), ct[keep].tolist()))
-        return self._dag_edges
+
+def _coarsen(bm: BoxMap) -> BoxMap:
+    """The box map one level up, with every axis of size > 1 halved.
+
+    A coarse box's range is the hull of its non-exterior children's
+    ranges, shifted down one level on each halved axis; it is exterior
+    iff all its children are.  No oracle is called.
+    """
+    grid = bm.grid
+    shape, d = grid.shape, grid.dimension
+    halved = [k for k in range(d) if shape[k] > 1]
+    # one array per coordinate, so that halving reads long strided runs;
+    # exterior children must not widen the hull
+    lo, hi = bm.jmin.T.copy(), bm.jmax.T.copy()
+    lo[:, bm.exterior] = np.iinfo(lo.dtype).max
+    hi[:, bm.exterior] = -1
+    lo, hi = lo.reshape((d,) + shape), hi.reshape((d,) + shape)
+    ext = bm.exterior.reshape(shape)
+    for k in halved:
+        even = (slice(None),) * k + (slice(0, None, 2),)
+        odd = (slice(None),) * k + (slice(1, None, 2),)
+        lo = np.minimum(lo[(slice(None),) + even], lo[(slice(None),) + odd])
+        hi = np.maximum(hi[(slice(None),) + even], hi[(slice(None),) + odd])
+        ext = ext[even] & ext[odd]
+    for k in halved:
+        lo[k] >>= 1
+        hi[k] >>= 1
+    coarse = CubicalGrid(grid.space, [max(s - 1, 0) for s in grid.subdivisions])
+    return BoxMap(coarse, bm.rho, jmin=lo.reshape(d, -1).T,
+                  jmax=hi.reshape(d, -1).T, exterior=ext.reshape(-1))
+
+
+def _children(coarse: CubicalGrid, fine: CubicalGrid, boxes: np.ndarray):
+    """Sorted boxes of the fine grid that lie in the given coarse boxes."""
+    strides = [int(np.prod(fine.shape[i + 1:])) for i in range(fine.dimension)]
+    base = np.zeros(boxes.size, dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    for k, j in enumerate(np.unravel_index(boxes, coarse.shape)):
+        if fine.shape[k] > coarse.shape[k]:
+            base += (2 * strides[k]) * j
+            offsets = np.concatenate((offsets, offsets + strides[k]))
+        else:
+            base += strides[k] * j
+    return np.sort((base[:, None] + offsets).reshape(-1))
+
+
+def _graph(indptr, indices) -> csr_matrix:
+    """Square CSR graph with the given rows.  csgraph reads only the
+    pattern, so every entry is one shared read-only 1.0 (a zero-stride
+    view): no array of edge weights is stored."""
+    ones = np.broadcast_to(np.float64(1.0), indices.shape)
+    m = indptr.size - 1
+    return csr_matrix((ones, indices, indptr), shape=(m, m))
+
+
+def _candidate_graph(bm: BoxMap, candidates: np.ndarray) -> csr_matrix:
+    """CSR graph of bm on the candidate boxes, in positions of candidates.
+
+    The candidates are forward closed: they are every box or the
+    children of a forward-closed set of the coarser level, whose ranges
+    hold the parent of every fine target.  So every target is a
+    candidate and no edge is dropped.
+    """
+    indptr, indices = bm.expand(candidates)
+    m = candidates.size
+    if m < bm.n_boxes:
+        position = np.empty(bm.n_boxes, dtype=np.int32)
+        position[candidates] = np.arange(m, dtype=np.int32)
+        indices = position[indices]
+    return _graph(indptr, indices)
+
+
+def _forward_closure(graph: csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Sorted nodes reachable from the seeds, seeds included: one
+    breadth-first search from an added source row pointing at them."""
+    m = graph.shape[0]
+    indptr = np.append(graph.indptr, graph.indptr[-1] + seeds.size)
+    indices = np.concatenate((graph.indices, seeds.astype(graph.indices.dtype)))
+    reach = breadth_first_order(_graph(indptr, indices), m, directed=True,
+                                return_predecessors=False)
+    return np.sort(reach[reach != m])
 
 
 def condensation(boxmap: BoxMap) -> Condensation:
     """SCC decomposition of a box map.
 
     A component is recurrent when it has at least two boxes or its one
-    box has a self-loop.
+    box has a self-loop.  The SCCs are computed level by level on the
+    candidate boxes of a pyramid (see the module docstring); a grid of
+    at most _COARSEST_BOXES boxes is a single level holding every box.
     """
-    adj = boxmap.adjacency()
-    n_comp, label = connected_components(adj, directed=True,
-                                         connection="strong")
+    levels = [boxmap]
+    while levels[-1].n_boxes > _COARSEST_BOXES:
+        levels.append(_coarsen(levels[-1]))
+    candidates = np.arange(levels[-1].n_boxes, dtype=np.int64)
+    records = []
+    for k in reversed(range(len(levels))):
+        graph = _candidate_graph(levels[k], candidates)
+        records.append({"shape": list(levels[k].grid.shape),
+                        "candidate_boxes": int(candidates.size),
+                        "candidate_edges": int(graph.nnz)})
+        n_comp, label = connected_components(graph, directed=True,
+                                             connection="strong")
+        recurrent = np.bincount(label, minlength=n_comp) >= 2
+        recurrent[label[graph.diagonal() != 0]] = True
+        if k == 0:
+            break
+        closure = _forward_closure(graph, np.flatnonzero(recurrent[label]))
+        candidates = _children(levels[k].grid, levels[k - 1].grid,
+                               candidates[closure])
     # each component is named by its smallest member box
-    smallest = np.full(n_comp, adj.shape[0], dtype=np.int64)
-    np.minimum.at(smallest, label, np.arange(adj.shape[0]))
-    recurrent = np.bincount(label, minlength=n_comp) >= 2
-    recurrent[label[adj.diagonal() != 0]] = True
-    return Condensation(boxmap, smallest[label], np.sort(smallest[recurrent]))
+    smallest = np.full(n_comp, boxmap.n_boxes, dtype=np.int64)
+    np.minimum.at(smallest, label, candidates)
+    comp_of = np.arange(boxmap.n_boxes, dtype=np.int64)
+    comp_of[candidates] = smallest[label]
+    return Condensation(boxmap, comp_of, np.sort(smallest[recurrent]),
+                        candidates, graph, records)
 
 
 def downset(cond: Condensation, cid: int) -> np.ndarray:
@@ -84,7 +201,8 @@ def downset(cond: Condensation, cid: int) -> np.ndarray:
 
     The search starts from the box cid alone: the region is strongly
     connected, so every other member is reached from it.  It runs on
-    cond.boxmap, the map cond was computed from, and the result is
+    cond.graph, the candidate graph of the box map cond was computed
+    from, which holds every box a recurrent box reaches.  The result is
     memoized on cond, so the Morse graph and the index pairs share one
     search per component.
     """
@@ -92,9 +210,10 @@ def downset(cond: Condensation, cid: int) -> np.ndarray:
         raise NodeNotRecurrent(f"component {cid} is not recurrent")
     ds = cond._downsets.get(int(cid))
     if ds is None:
-        reach = breadth_first_order(cond.boxmap.adjacency(), int(cid),
-                                    directed=True, return_predecessors=False)
-        ds = np.sort(reach).astype(np.int64)
+        start = int(np.searchsorted(cond.candidates, int(cid)))
+        reach = breadth_first_order(cond.graph, start, directed=True,
+                                    return_predecessors=False)
+        ds = cond.candidates[np.sort(reach)]
         ds.flags.writeable = False  # shared by every caller
         cond._downsets[int(cid)] = ds
     return ds
@@ -127,7 +246,7 @@ def verify_attracting_block(boxmap: BoxMap, boxes) -> bool:
     boxes = np.unique(np.asarray(list(boxes), dtype=np.int64))
     mask = np.zeros(boxmap.n_boxes, dtype=bool)
     mask[boxes] = True
-    return bool(mask[boxmap.adjacency()[boxes].indices].all())
+    return bool(mask[boxmap.expand(boxes)[1]].all())
 
 
 class MorseGraph:
@@ -239,8 +358,11 @@ def morse_graph(cond: Condensation) -> MorseGraph:
     regions = [cond.members(c) for c in comp_ids]
     downsets = [downset(cond, c) for c in comp_ids]
     order = set()
+    ids = np.asarray(comp_ids, dtype=np.int64)
     for qi, ds in enumerate(downsets):
-        for qj in np.flatnonzero(np.isin(comp_ids, ds)):
+        # ds is sorted and holds at least its own component's id
+        at = np.minimum(np.searchsorted(ds, ids), ds.size - 1)
+        for qj in np.flatnonzero(ds[at] == ids):
             if qj != qi:
                 order.add((int(qj), qi))  # qj < qi: qi reaches qj
     return MorseGraph(boxmap.grid, comp_ids, regions, downsets, order)

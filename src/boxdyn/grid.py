@@ -35,17 +35,9 @@ class Rect:
     def dimension(self) -> int:
         return self.lower.size
 
-    @property
-    def half_diameter(self) -> float:
-        return 0.5 * float(np.linalg.norm(self.upper - self.lower))
-
     def padded(self, rho: float) -> "Rect":
         """Inflate every side by rho (sup-metric ball)."""
         return Rect(self.lower - rho, self.upper + rho)
-
-    def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def intersects(self, other: "Rect") -> bool:
         return bool(
@@ -117,22 +109,11 @@ class CubicalGrid:
     def box_count(self) -> int:
         return int(np.prod(self.shape))
 
-    def diameter(self) -> float:
-        """Euclidean diameter of a single box."""
-        return float(np.linalg.norm(self.widths))
-
     def linearize(self, index) -> int:
         return int(np.ravel_multi_index(tuple(index), self.shape))
 
     def multi_index(self, linear: int):
         return tuple(int(v) for v in np.unravel_index(int(linear), self.shape))
-
-    def box_rect(self, index) -> Rect:
-        """Closed realization of a box given by multi-index."""
-        index = tuple(index)
-        lo = np.array([self.faces[i][index[i]] for i in range(self.dimension)])
-        hi = np.array([self.faces[i][index[i] + 1] for i in range(self.dimension)])
-        return Rect(lo, hi)
 
     def box_containing(self, point):
         """Multi-index of the box containing a point of X.
@@ -150,52 +131,35 @@ class CubicalGrid:
             idx.append(min(max(j, 0), self.shape[i] - 1))
         return tuple(idx)
 
-    def index_ranges(self, r: Rect):
-        """Inclusive per-axis index range of boxes meeting r, or None.
+    def index_ranges_bulk(self, rect_lo: np.ndarray, rect_hi: np.ndarray,
+                          pad: float = 0.0):
+        """Inclusive per-axis index ranges of the boxes meeting each
+        rectangle, inflated by pad on every side.
 
-        Closed-box semantics: a rectangle touching a face intersects the
-        boxes on both sides.
-        """
-        lo, hi = [], []
-        for i in range(self.dimension):
-            jmin = int(np.searchsorted(self.faces[i], r.lower[i], side="left")) - 1
-            jmax = int(np.searchsorted(self.faces[i], r.upper[i], side="right")) - 1
-            if jmax < 0 or jmin > self.shape[i] - 1:
-                return None
-            lo.append(max(jmin, 0))
-            hi.append(min(jmax, self.shape[i] - 1))
-        return tuple(lo), tuple(hi)
-
-    def index_ranges_bulk(self, rect_lo: np.ndarray, rect_hi: np.ndarray):
-        """Vectorized index_ranges for many rectangles.
-
-        rect_lo/rect_hi have shape (n, d).  Returns (jmin, jmax, nonempty)
-        with jmin/jmax int32 of shape (n, d) clamped to the grid and a
-        boolean mask of rectangles that meet X at all.
+        rect_lo/rect_hi have shape (n, d).  Closed-box semantics: a
+        rectangle touching a face meets the boxes on both sides.
+        Returns (jmin, jmax, nonempty) with jmin/jmax int32 of shape
+        (n, d) clamped to the grid and a boolean mask of rectangles that
+        meet X at all.  The pad is applied one axis at a time, so no
+        padded copy of the inputs is made.
         """
         n, d = rect_lo.shape
         jmin = np.empty((n, d), dtype=np.int32)
         jmax = np.empty((n, d), dtype=np.int32)
         nonempty = np.ones(n, dtype=bool)
         for i in range(d):
-            lo_raw = np.searchsorted(self.faces[i], rect_lo[:, i], side="left") - 1
-            hi_raw = np.searchsorted(self.faces[i], rect_hi[:, i], side="right") - 1
-            nonempty &= (hi_raw >= 0) & (lo_raw <= self.shape[i] - 1)
-            jmin[:, i] = np.clip(lo_raw, 0, self.shape[i] - 1)
-            jmax[:, i] = np.clip(hi_raw, 0, self.shape[i] - 1)
+            last = self.shape[i] - 1
+            raw = np.searchsorted(self.faces[i], rect_lo[:, i] - pad,
+                                  side="left")
+            raw -= 1
+            nonempty &= raw <= last
+            np.clip(raw, 0, last, out=jmin[:, i])
+            raw = np.searchsorted(self.faces[i], rect_hi[:, i] + pad,
+                                  side="right")
+            raw -= 1
+            nonempty &= raw >= 0
+            np.clip(raw, 0, last, out=jmax[:, i])
         return jmin, jmax, nonempty
-
-    def boxes_intersecting(self, r: Rect):
-        """All boxes whose closed realization meets r, in lex index order."""
-        rng = self.index_ranges(r)
-        if rng is None:
-            return []
-        lo, hi = rng
-        ranges = [range(lo[i], hi[i] + 1) for i in range(self.dimension)]
-        out = []
-        for offset in np.ndindex(*[len(rg) for rg in ranges]):
-            out.append(tuple(ranges[i][offset[i]] for i in range(self.dimension)))
-        return out
 
     def __eq__(self, other):
         return (

@@ -4,8 +4,8 @@ build_boxmap inflates each box's image enclosure by rho (sup metric, so
 rectangles stay rectangles) and records every grid box the result meets.
 Because enclosures are rectangles, the target set of a box is always a
 contiguous block of indices, so a BoxMap stores per-box index ranges.
-BoxMap.adjacency expands those ranges once into a sparse CSR matrix;
-that matrix is the only form of the edges the graph algorithms see.
+BoxMap.expand turns the ranges of the boxes a caller asks for into CSR
+rows; no matrix over the whole grid is built or kept.
 Boxes whose inflated enclosure misses the phase space entirely are
 flagged exterior and get no targets: escape is data, not failure.
 """
@@ -13,13 +13,12 @@ flagged exterior and get no targets: escape is data, not failure.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import GridMismatch
 from .grid import CubicalGrid
 from .oracles import MapOracle
 
-# edges expanded per step of BoxMap.adjacency; bounds its temporary arrays
+# edges expanded per step of BoxMap.expand; bounds its temporary arrays
 _CHUNK_EDGES = 1 << 16
 
 
@@ -39,7 +38,6 @@ class BoxMap:
         if exterior is None:
             exterior = np.zeros(grid.box_count, dtype=bool)
         self.exterior = exterior
-        self._adjacency = None
 
     @property
     def n_boxes(self) -> int:
@@ -53,56 +51,66 @@ class BoxMap:
     def total_edges(self) -> int:
         return int(self.out_degrees().sum())
 
-    def adjacency(self) -> csr_matrix:
-        """n x n CSR matrix with a nonzero at (box, target) for every edge.
+    def expand(self, rows):
+        """Targets of the given boxes as CSR arrays (indptr, indices).
 
-        Expanded from the target ranges on first use and cached.  Column
-        indices are int32 and sorted within each row, because each
-        range is enumerated in ravel order; exterior rows are empty.
+        Row k lists the targets of box rows[k].  Indices are int32 and
+        sorted within each row, because each range is enumerated in
+        ravel order; exterior boxes have empty rows.
         """
-        if self._adjacency is None:
-            self._adjacency = self._expand()
-        return self._adjacency
-
-    def _expand(self) -> csr_matrix:
-        n = self.n_boxes
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         shape = self.grid.shape
-        strides = np.array([int(np.prod(shape[i + 1:])) for i in range(len(shape))],
-                           dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.out_degrees(), out=indptr[1:])
+        d = len(shape)
+        strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
+        # per axis: range widths, and the index of each range's first box
+        base = np.zeros(rows.size, dtype=np.int32)
+        widths = []
+        for axis in range(d):
+            lo = np.take(self.jmin[:, axis], rows).astype(np.int32)
+            hi = np.take(self.jmax[:, axis], rows).astype(np.int32)
+            base += lo * strides[axis]
+            hi -= lo
+            hi += 1
+            widths.append(hi)
+        widths[0][np.take(self.exterior, rows)] = 0
+        runs = np.ones(rows.size, dtype=np.int32)
+        for w in widths[:-1]:
+            runs *= w
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(runs * widths[-1], out=indptr[1:], dtype=np.int64)
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        # box boundaries of runs of about _CHUNK_EDGES edges each
+        # row boundaries of runs of about _CHUNK_EDGES edges each
         cuts = np.searchsorted(indptr, np.arange(0, indptr[-1], _CHUNK_EDGES),
                                side="right") - 1
-        for a, b in zip(cuts, np.append(cuts[1:], n)):
+        for a, b in zip(cuts, np.append(cuts[1:], rows.size)):
             if a == b:
                 continue
             # a target rectangle is a set of runs of consecutive indices
             # along the last axis; find each run's start, then fill it
-            lo = self.jmin[a:b].astype(np.int64)
-            widths = self.jmax[a:b].astype(np.int64) - lo + 1
-            widths[self.exterior[a:b]] = 0
-            runs = widths[:, :-1].prod(axis=1)
-            run_box = np.repeat(np.arange(b - a), runs)
-            local = np.arange(run_box.size) - np.repeat(np.cumsum(runs) - runs, runs)
-            start = lo[run_box] @ strides
-            for axis in reversed(range(len(shape) - 1)):
-                w = widths[run_box, axis]
-                start += (local % w) * strides[axis]
-                local //= w
-            length = widths[run_box, -1]
-            offset = np.cumsum(length) - length
-            indices[indptr[a]:indptr[b]] = (np.arange(indptr[b] - indptr[a])
-                                            + np.repeat(start - offset, length))
-        data = np.ones(indices.size, dtype=np.float64)
-        return csr_matrix((data, indices, indptr), shape=(n, n))
+            run_box = np.repeat(np.arange(b - a), runs[a:b])
+            start = base[a:b][run_box]
+            if d > 1:
+                # position of each run in its rectangle, last axis fastest
+                local = np.arange(run_box.size, dtype=np.int32)
+                local -= (np.cumsum(runs[a:b]) - runs[a:b])[run_box]
+                for axis in range(d - 2, 0, -1):
+                    w = widths[axis][a:b][run_box]
+                    start += (local % w) * strides[axis]
+                    local //= w
+                local *= strides[0]
+                start += local
+            # less each run's first position in the chunk, the run's
+            # indices are its positions plus this one value
+            length = widths[-1][a:b][run_box]
+            start -= np.cumsum(length, dtype=np.int32) - length
+            fill = indices[indptr[a]:indptr[b]]
+            fill[:] = np.repeat(start, length)
+            fill += np.arange(fill.size, dtype=np.int32)
+        return indptr, indices
 
     def targets(self, linear: int) -> np.ndarray:
         """Sorted linearized target indices of a box."""
-        adj = self.adjacency()
-        linear = int(linear)
-        return adj.indices[adj.indptr[linear]:adj.indptr[linear + 1]].astype(np.int64)
+        return self.expand([int(linear)])[1].astype(np.int64)
 
 
 def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
@@ -114,7 +122,7 @@ def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
             f"oracle dimension {oracle.dimension} != grid dimension {grid.dimension}"
         )
     lo, hi = oracle.image_rects(grid)
-    jmin, jmax, nonempty = grid.index_ranges_bulk(lo - rho, hi + rho)
+    jmin, jmax, nonempty = grid.index_ranges_bulk(lo, hi, pad=rho)
     return BoxMap(grid, rho, jmin=jmin, jmax=jmax, exterior=~nonempty)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from boxdyn import (CubicalGrid, LeslieOracle, PhaseSpace, build_boxmap,
+from boxdyn import (CubicalGrid, LeslieOracle, PhaseSpace, Rect, build_boxmap,
                     condensation, conley_index, morse_graph)
 from boxdyn.homology import _inv_mod
 
@@ -26,7 +26,7 @@ def digraph_boxmap(n, edges, depth=None):
 
     Nodes are the first n boxes of a 1-D grid; edges is an iterable of
     (source, target) pairs.  It carries what the graph algorithms read
-    from a box map: grid, n_boxes, exterior and adjacency().
+    from a box map: grid, n_boxes, exterior and expand(rows).
     """
     if depth is None:
         depth = max(1, math.ceil(math.log2(max(n, 2))))
@@ -34,9 +34,74 @@ def digraph_boxmap(n, edges, depth=None):
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
     adj = csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
                      shape=(n, n))
+    adj.sum_duplicates()
+
+    def expand(rows):
+        sub = adj[np.asarray(rows, dtype=np.int64)]
+        return sub.indptr, sub.indices
+
     return SimpleNamespace(grid=grid, n_boxes=n,
-                           exterior=np.zeros(n, dtype=bool),
-                           adjacency=lambda: adj)
+                           exterior=np.zeros(n, dtype=bool), expand=expand)
+
+
+def dag_edges(cond):
+    """Deduplicated edges between distinct components of a condensation."""
+    bm = cond.boxmap
+    indptr, indices = bm.expand(np.arange(bm.n_boxes))
+    rows = np.repeat(np.arange(bm.n_boxes), np.diff(indptr))
+    cs, ct = cond.comp_of[rows], cond.comp_of[indices]
+    keep = cs != ct
+    return set(zip(cs[keep].tolist(), ct[keep].tolist()))
+
+
+def half_diameter(rect):
+    """Half the Euclidean diameter of a Rect."""
+    return 0.5 * float(np.linalg.norm(rect.upper - rect.lower))
+
+
+def contains_point(rect, x):
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(x >= rect.lower) and np.all(x <= rect.upper))
+
+
+def grid_diameter(grid):
+    """Euclidean diameter of a single box of the grid."""
+    return float(np.linalg.norm(grid.widths))
+
+
+def box_rect(grid, index):
+    """Closed realization of a box given by multi-index."""
+    index = tuple(index)
+    lo = np.array([grid.faces[i][index[i]] for i in range(grid.dimension)])
+    hi = np.array([grid.faces[i][index[i] + 1] for i in range(grid.dimension)])
+    return Rect(lo, hi)
+
+
+def index_ranges(grid, r):
+    """Inclusive per-axis index range of the boxes meeting r, or None.
+
+    Closed-box semantics: a rectangle touching a face meets the boxes
+    on both sides.
+    """
+    lo, hi = [], []
+    for i in range(grid.dimension):
+        jmin = int(np.searchsorted(grid.faces[i], r.lower[i], side="left")) - 1
+        jmax = int(np.searchsorted(grid.faces[i], r.upper[i], side="right")) - 1
+        if jmax < 0 or jmin > grid.shape[i] - 1:
+            return None
+        lo.append(max(jmin, 0))
+        hi.append(min(jmax, grid.shape[i] - 1))
+    return tuple(lo), tuple(hi)
+
+
+def boxes_intersecting(grid, r):
+    """All boxes whose closed realization meets r, in lex index order."""
+    rng = index_ranges(grid, r)
+    if rng is None:
+        return []
+    lo, hi = rng
+    return list(itertools.product(*[range(lo[i], hi[i] + 1)
+                                     for i in range(grid.dimension)]))
 
 
 def reachability_closure(n, edges):

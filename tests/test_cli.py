@@ -152,6 +152,34 @@ class TestAnalyzeCommand:
         dot = (out / "morse_graph.dot").read_text()
         assert "digraph" in dot and "x - 1" in dot
 
+    def test_manifest_records_the_graph_levels(self, tmp_path, monkeypatch):
+        from boxdyn import (CubicalGrid, PhaseSpace, PiecewiseExample1D,
+                            build_boxmap, graph_dynamics)
+        cfg = load_config(write_config(tmp_path / "c.json"))
+        mg, manifest = run_analysis(cfg)
+        graph = manifest["graph"]
+        bm = build_boxmap(CubicalGrid(PhaseSpace([-2.0], [2.0]), [6]),
+                          PiecewiseExample1D(1.5), 1e-3)
+        assert graph["levels"] == [{"shape": [64], "candidate_boxes": 64,
+                                    "candidate_edges": bm.total_edges()}]
+        assert graph["recurrent_boxes"] == sum(r.size for r in mg.regions) > 0
+
+        monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 8)
+        cfg_path = tmp_path / "c.json"
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        levels = json.loads((out / "manifest.json").read_text())["graph"]
+        doc = json.loads((out / "morse_graph.json").read_text())
+        assert [lv["shape"] for lv in levels["levels"]] == [[8], [16], [32],
+                                                             [64]]
+        assert levels["levels"][0]["candidate_boxes"] == 8
+        for lv in levels["levels"]:
+            assert 0 < lv["candidate_boxes"] <= lv["shape"][0]
+            assert lv["candidate_edges"] > 0
+        assert levels["recurrent_boxes"] == sum(len(nd["region"])
+                                                for nd in doc["nodes"])
+        assert levels["recurrent_boxes"] == graph["recurrent_boxes"]
+
     def test_json_round_trip_equals_graph(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
         mg, _ = run_analysis(cfg)

@@ -7,6 +7,7 @@ import pytest
 from boxdyn import (
     CallableOracle,
     CubicalGrid,
+    LeslieOracle,
     NodeNotRecurrent,
     PhaseSpace,
     PiecewiseExample1D,
@@ -19,8 +20,10 @@ from boxdyn import (
 )
 from boxdyn import graph_dynamics
 from boxdyn.graph_dynamics import morse_graph_from_jsonable
+from boxdyn.outer_approx import BoxMap
 
-from conftest import brute_sccs, digraph_boxmap, reachability_closure
+from conftest import (brute_sccs, dag_edges, digraph_boxmap,
+                      reachability_closure)
 
 
 class TestCondensation:
@@ -32,7 +35,7 @@ class TestCondensation:
         assert cond.component_of(0) == cond.component_of(1)
         assert cond.is_recurrent(cond.component_of(0))
         assert cond.is_recurrent(cond.component_of(2))
-        assert cond.dag_edges() == {(cond.component_of(0), cond.component_of(2))}
+        assert dag_edges(cond) == {(cond.component_of(0), cond.component_of(2))}
 
     def test_chain_has_no_recurrence(self):
         bm = digraph_boxmap(3, [(0, 1), (1, 2)])
@@ -73,7 +76,7 @@ class TestCondensation:
             edges = {(int(rng.integers(0, n)), int(rng.integers(0, n)))
                      for _ in range(int(rng.integers(0, 2 * n)))}
             cond = condensation(digraph_boxmap(n, edges))
-            dag = cond.dag_edges()
+            dag = dag_edges(cond)
             ids = sorted({c for e in dag for c in e} | set(cond.component_ids()))
             closure = reachability_closure(
                 max(ids, default=0) + 1, list(dag)
@@ -104,7 +107,8 @@ class TestCondensation:
                     range(lo, hi + 1) for lo, hi in zip(bm.jmin[b], bm.jmax[b])
                 ])
             ]
-            rows, cols = bm.adjacency().nonzero()
+            indptr, cols = bm.expand(np.arange(n))
+            rows = np.repeat(np.arange(n), np.diff(indptr))
             assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(edges)
             cond = condensation(bm)
             comps, rec = brute_sccs(n, edges)
@@ -125,6 +129,121 @@ class TestCondensation:
             assert mg.order == {(a, b) for a, ra in enumerate(roots)
                                 for b, rb in enumerate(roots)
                                 if a != b and closure[rb, ra]}
+
+
+def random_rect_boxmap(rng, depths):
+    """Box map with rectangle ranges that are not isotone: most boxes
+    halve their offset from a sink, some stay put and some jump
+    anywhere; about one in seven boxes is exterior, with a range of its
+    own that must be ignored."""
+    d = len(depths)
+    grid = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d), depths)
+    shape, n = np.array(grid.shape), grid.box_count
+    at = np.stack(np.unravel_index(np.arange(n), grid.shape), axis=1)
+    sink = rng.integers(0, shape)
+    target = np.where(rng.random((n, d)) < 0.9, sink + (at - sink) // 2, at)
+    jump = rng.random(n) < 0.05
+    target[jump] = rng.integers(0, shape, size=(int(jump.sum()), d))
+    jmin = np.clip(target - (rng.random((n, d)) < 0.3), 0, shape - 1)
+    jmax = np.clip(target + (rng.random((n, d)) < 0.3), 0, shape - 1)
+    return BoxMap(grid, 0.0, jmin=jmin.astype(np.int32),
+                  jmax=jmax.astype(np.int32), exterior=rng.random(n) < 0.15)
+
+
+def one_level(monkeypatch, bm):
+    """Condensation of the whole grid in one level."""
+    with monkeypatch.context() as m:
+        m.setattr(graph_dynamics, "_COARSEST_BOXES", bm.n_boxes)
+        cond = condensation(bm)
+    assert len(cond.levels) == 1
+    return cond
+
+
+def assert_same_graph(cond, ref):
+    assert np.array_equal(cond.comp_of, ref.comp_of)
+    assert np.array_equal(cond.recurrent, ref.recurrent)
+    for cid in ref.recurrent:
+        assert np.array_equal(downset(cond, cid), downset(ref, cid))
+    mg, want = morse_graph(cond), morse_graph(ref)
+    assert mg.component_ids == want.component_ids
+    assert mg.order == want.order
+    assert all(np.array_equal(a, b) for a, b in zip(mg.regions, want.regions))
+
+
+class TestPyramid:
+    """condensation refines only the boxes that can recur; the result
+    must be that of the whole grid for every box map."""
+
+    def test_coarse_ranges_are_hulls_of_interior_children(self, rng):
+        for depths in ((4,), (3, 2), (2, 1, 2), (0, 3)):
+            for _ in range(5):
+                bm = random_rect_boxmap(rng, depths)
+                coarse = graph_dynamics._coarsen(bm)
+                fine, up = bm.grid, coarse.grid
+                halved = [f > c for f, c in zip(fine.shape, up.shape)]
+                assert all(f == max(c * 2, 1) if h else f == c for f, c, h
+                           in zip(fine.shape, up.shape, halved))
+                for p in range(coarse.n_boxes):
+                    pi = up.multi_index(p)
+                    kids = [fine.linearize(c) for c in itertools.product(*[
+                        (2 * j, 2 * j + 1) if h else (j,)
+                        for j, h in zip(pi, halved)])]
+                    inside = [c for c in kids if not bm.exterior[c]]
+                    assert coarse.exterior[p] == (not inside)
+                    if not inside:
+                        continue
+                    shift = np.array(halved, dtype=int)
+                    lo = np.min([bm.jmin[c] >> shift for c in inside], axis=0)
+                    hi = np.max([bm.jmax[c] >> shift for c in inside], axis=0)
+                    assert coarse.jmin[p].tolist() == lo.tolist()
+                    assert coarse.jmax[p].tolist() == hi.tolist()
+
+    def test_random_rectangle_maps(self, rng, monkeypatch):
+        pruned = 0
+        for depths in ((6,), (3, 3), (2, 2, 2), (4, 2)):
+            for _ in range(15):
+                bm = random_rect_boxmap(rng, depths)
+                ref = one_level(monkeypatch, bm)
+                monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 2)
+                cond = condensation(bm)
+                monkeypatch.undo()
+                assert len(cond.levels) >= 3
+                assert cond.levels[-1]["candidate_boxes"] == \
+                    cond.candidates.size
+                pruned += cond.candidates.size < bm.n_boxes
+                assert_same_graph(cond, ref)
+
+                n = bm.n_boxes
+                indptr, targets = bm.expand(np.arange(n))
+                edges = list(zip(np.repeat(np.arange(n),
+                                           np.diff(indptr)).tolist(),
+                                 targets.tolist()))
+                comps, rec = brute_sccs(n, edges)
+                for comp, r in zip(comps, rec):
+                    cid = cond.component_of(comp[0])
+                    assert cond.members(cid).tolist() == comp
+                    assert cond.is_recurrent(cid) == r
+                closure = reachability_closure(n, edges)
+                for cid in cond.recurrent:
+                    reach = closure[cid].copy()
+                    reach[cid] = True
+                    assert downset(cond, cid).tolist() == \
+                        np.flatnonzero(reach).tolist()
+        assert pruned >= 20  # the coarse levels left boxes out
+
+    def test_leslie_depth7(self, monkeypatch):
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [7, 7])
+        bm = build_boxmap(grid, LeslieOracle((23.5, 23.5)), 0.03)
+        ref = one_level(monkeypatch, bm)
+        cond = condensation(bm)
+        assert [lv["shape"] for lv in cond.levels] == [[64, 64], [128, 128]]
+        assert cond.graph.data.strides == (0,)  # no weight stored per edge
+        assert_same_graph(cond, ref)
+        monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 16)
+        cond = condensation(bm)
+        assert len(cond.levels) == 6
+        assert cond.candidates.size < bm.n_boxes
+        assert_same_graph(cond, ref)
 
 
 class TestDownsetAndIndexPair:

@@ -10,6 +10,9 @@ from boxdyn import (
     Rect,
 )
 
+from conftest import (box_rect, boxes_intersecting, contains_point,
+                      grid_diameter)
+
 
 def grid1d(lo=0.0, hi=1.0, depth=1):
     return CubicalGrid(PhaseSpace([lo], [hi]), [depth])
@@ -44,7 +47,7 @@ class TestBoxContaining:
         for _ in range(300):
             p = lo + rng.random(2) * (hi - lo)
             b = grid.box_containing(p)
-            assert grid.box_rect(b).contains_point(p)
+            assert contains_point(box_rect(grid, b), p)
 
     def test_face_points_resolve_lex_smallest(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
@@ -55,58 +58,58 @@ class TestBoxContaining:
 class TestBoxesIntersecting:
     def test_single_box_realization_touches_neighbors(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
-        r = grid.box_rect((1, 1))
-        got = grid.boxes_intersecting(r)
+        r = box_rect(grid, (1, 1))
+        got = boxes_intersecting(grid, r)
         want = [(i, j) for i in (0, 1, 2) for j in (0, 1, 2)]
         assert got == want
 
     def test_interval_example(self):
         grid = grid1d(depth=2)
-        assert grid.boxes_intersecting(Rect([0.3], [0.6])) == [(1,), (2,)]
+        assert boxes_intersecting(grid, Rect([0.3], [0.6])) == [(1,), (2,)]
 
     def test_rect_left_of_domain_is_empty(self):
-        assert grid1d().boxes_intersecting(Rect([-2.0], [-1.0])) == []
+        assert boxes_intersecting(grid1d(), Rect([-2.0], [-1.0])) == []
 
     def test_rect_clipped_to_domain(self):
         grid = grid1d(depth=2)
-        got = grid.boxes_intersecting(Rect([0.9], [7.0]))
+        got = boxes_intersecting(grid, Rect([0.9], [7.0]))
         assert got == [(3,)]
 
     def test_contains_own_box(self, rng):
         grid = CubicalGrid(PhaseSpace([0.0, -1.0], [2.0, 1.0]), [3, 2])
         for _ in range(100):
             b = tuple(int(rng.integers(0, s)) for s in grid.shape)
-            assert b in grid.boxes_intersecting(grid.box_rect(b))
+            assert b in boxes_intersecting(grid, box_rect(grid, b))
 
     def test_sorted_and_unique(self, rng):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 3])
         for _ in range(100):
             a = rng.random(2) * 1.4 - 0.2
             b = a + rng.random(2) * 0.5
-            got = grid.boxes_intersecting(Rect(a, b))
+            got = boxes_intersecting(grid, Rect(a, b))
             assert got == sorted(set(got))
 
 
 class TestGeometry:
     def test_diameter_unit_square(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [0, 0])
-        assert grid.diameter() == pytest.approx(math.sqrt(2.0))
+        assert grid_diameter(grid) == pytest.approx(math.sqrt(2.0))
 
     def test_diameter_leslie_grid(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [9, 9])
         want = math.hypot(90 / 512, 70 / 512)
-        assert grid.diameter() == pytest.approx(want)
-        assert abs(grid.diameter() - 0.2227) < 5e-4
+        assert grid_diameter(grid) == pytest.approx(want)
+        assert abs(grid_diameter(grid) - 0.2227) < 5e-4
 
     def test_diameter_interval_depth10(self):
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [10])
-        assert grid.diameter() == 4.0 / 1024
+        assert grid_diameter(grid) == 4.0 / 1024
 
     def test_volume_sum_equals_domain(self):
         grid = CubicalGrid(PhaseSpace([0.0, -3.0], [2.0, 4.0]), [3, 2])
         total = 0.0
         for b in np.ndindex(*grid.shape):
-            r = grid.box_rect(b)
+            r = box_rect(grid, b)
             total += float(np.prod(np.asarray(r.upper) - np.asarray(r.lower)))
         assert total == pytest.approx(2.0 * 7.0)
 

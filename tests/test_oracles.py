@@ -14,6 +14,8 @@ from boxdyn import (
     Rect,
 )
 
+from conftest import box_rect, half_diameter
+
 
 class TestLeslieEval:
     def test_origin_fixed_point(self):
@@ -71,7 +73,7 @@ class TestLeslieEval:
             lo, hi = o.image_rects(grid)
             for _ in range(200):
                 k = int(rng.integers(0, grid.box_count))
-                r = grid.box_rect(grid.multi_index(k))
+                r = box_rect(grid, grid.multi_index(k))
                 x = r.lower + rng.random(2) * (r.upper - r.lower)
                 y = o.eval(x)
                 assert np.all(y >= lo[k]) and np.all(y <= hi[k])
@@ -97,7 +99,7 @@ class TestPiecewise1D:
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
         lo, hi = o.image_rects(grid)
         for k in range(grid.box_count):
-            r = grid.box_rect((k,))
+            r = box_rect(grid, (k,))
             assert lo[k, 0] == o.eval(r.lower)[0]
             assert hi[k, 0] == o.eval(r.upper)[0]
 
@@ -107,7 +109,7 @@ class TestPiecewise1D:
         lo, hi = o.image_rects(grid)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
-            r = grid.box_rect((k,))
+            r = box_rect(grid, (k,))
             x = r.lower + rng.random(1) * (r.upper - r.lower)
             y = o.eval(x)[0]
             assert lo[k, 0] <= y <= hi[k, 0]
@@ -198,7 +200,7 @@ class TestDataOracle:
         lo, hi = o.image_rects(grid)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
-            r = grid.box_rect((k,))
+            r = box_rect(grid, (k,))
             x = r.lower + rng.random(1) * (r.upper - r.lower)
             y = float(f(x)[0])
             assert lo[k, 0] - 1e-12 <= y <= hi[k, 0] + 1e-12
@@ -236,7 +238,7 @@ class TestImageRectGeneric:
         lo, hi = o.image_rects(grid)
         assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
         for k in range(grid.box_count):
-            r = o.image_rect(grid.box_rect(grid.multi_index(k)))
+            r = o.image_rect(box_rect(grid, grid.multi_index(k)))
             assert np.array_equal(r.lower, lo[k])
             assert np.array_equal(r.upper, hi[k])
 
@@ -255,7 +257,7 @@ class TestImageRectGeneric:
             outer = Rect(a, b)
             inner = Rect(a + 0.25 * (b - a), b - 0.25 * (b - a))
             ri = o.image_rect(inner)
-            slack = o.lipschitz_upper_bound() * inner.half_diameter
+            slack = o.lipschitz_upper_bound() * half_diameter(inner)
             ro = o.image_rect(outer).padded(slack)
             assert np.all(ri.lower >= ro.lower - 1e-9)
             assert np.all(ri.upper <= ro.upper + 1e-9)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from boxdyn import (
     build_boxmap,
     encloses,
 )
-from boxdyn.outer_approx import _CHUNK_EDGES
+from boxdyn import outer_approx
+from boxdyn.outer_approx import _CHUNK_EDGES, BoxMap
+
+from conftest import box_rect, boxes_intersecting
 
 
 def identity_oracle(d=1):
@@ -57,8 +62,8 @@ class TestBuildBoxmap:
         assert b in bm.targets(b)
         # brute-force cross-check of the full adjacency over all 64 boxes
         for k in range(grid.box_count):
-            r = oracle.image_rect(grid.box_rect((k,)))
-            want = [grid.linearize(t) for t in grid.boxes_intersecting(r)]
+            r = oracle.image_rect(box_rect(grid, (k,)))
+            want = [grid.linearize(t) for t in boxes_intersecting(grid, r)]
             assert list(bm.targets(k)) == want
 
     def test_exterior_flagging(self):
@@ -91,7 +96,7 @@ class TestBuildBoxmap:
         bm = build_boxmap(grid, oracle, 0.0)
         for _ in range(300):
             k = int(rng.integers(0, grid.box_count))
-            r = grid.box_rect((k,))
+            r = box_rect(grid, (k,))
             x = r.lower + rng.random(1) * (r.upper - r.lower)
             y = oracle.eval(x)
             t = grid.linearize(grid.box_containing(y))
@@ -137,12 +142,11 @@ class TestAdjacency:
         bm = build_boxmap(grid, CallableOracle(lambda x: 3 * x - 1, 3.0, 2),
                           0.01)
         assert 0 < bm.exterior.sum() < grid.box_count
-        adj = bm.adjacency()
-        assert adj is bm.adjacency()  # expanded once
-        assert adj.nnz == bm.total_edges() > 2 * _CHUNK_EDGES
-        assert adj.indices.dtype == np.int32
+        indptr, indices = bm.expand(np.arange(grid.box_count))
+        assert indices.size == bm.total_edges() > 2 * _CHUNK_EDGES
+        assert indices.dtype == np.int32
         for k in range(grid.box_count):
-            row = adj.indices[adj.indptr[k]:adj.indptr[k + 1]]
+            row = indices[indptr[k]:indptr[k + 1]]
             if bm.exterior[k]:
                 assert row.size == 0
                 continue
@@ -152,3 +156,26 @@ class TestAdjacency:
                 [g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
                 grid.shape)
             assert np.array_equal(row, want)  # sorted, in ravel order
+
+    def test_any_rows_in_any_dimension(self, rng, monkeypatch):
+        """Rows in any order, repeated or exterior, in d = 1, 2 and 3,
+        with chunks of a few edges, against the enumerated rectangles."""
+        monkeypatch.setattr(outer_approx, "_CHUNK_EDGES", 7)
+        for depths in ((3,), (2, 3), (1, 2, 2), (0, 2)):
+            grid = CubicalGrid(PhaseSpace([0.0] * len(depths),
+                                          [1.0] * len(depths)), depths)
+            n, shape = grid.box_count, np.array(grid.shape)
+            a = rng.integers(0, shape, size=(n, len(depths)))
+            b = rng.integers(0, shape, size=(n, len(depths)))
+            bm = BoxMap(grid, 0.0, jmin=np.minimum(a, b).astype(np.int32),
+                        jmax=np.maximum(a, b).astype(np.int32),
+                        exterior=rng.random(n) < 0.2)
+            rows = rng.integers(0, n, size=2 * n)
+            indptr, indices = bm.expand(rows)
+            assert indptr.size == rows.size + 1
+            for k, box in enumerate(rows):
+                want = [] if bm.exterior[box] else [
+                    grid.linearize(t) for t in itertools.product(*[
+                        range(lo, hi + 1)
+                        for lo, hi in zip(bm.jmin[box], bm.jmax[box])])]
+                assert indices[indptr[k]:indptr[k + 1]].tolist() == want

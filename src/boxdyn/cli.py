@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -24,12 +25,13 @@ import scipy
 
 from . import __version__, oracles
 from .compare import check_epimorphism, project
-from .conley import ConleyIndex, conley_index
+from .conley import conley_index
 from .errors import (BoxdynError, ConfigError, DimensionMismatch,
                      EmptyDataset, ParseError)
 from .graph_dynamics import MorseGraph, condensation, morse_graph, \
     morse_graph_from_jsonable
 from .grid import CubicalGrid, PhaseSpace
+from .homology import check_prime
 from .oracles import LeslieOracle, LipschitzDataOracle, MlpOracle, \
     PiecewiseExample1D
 from .outer_approx import BoxMap, build_boxmap
@@ -55,15 +57,16 @@ class AnalysisConfig:
         if any(not isinstance(d, int) or d < 0 for d in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got "
                               f"{self.depths}")
-        if any(lo >= up for lo, up in zip(self.lower, self.upper)):
+        if any(not lo < up for lo, up in zip(self.lower, self.upper)):
             raise ConfigError("domain lower bounds must be below upper bounds")
-        if self.rho < 0:
+        if not all(map(math.isfinite, [*self.lower, *self.upper])):
+            raise ConfigError("domain bounds must be finite")
+        if not self.rho >= 0:
             raise ConfigError("rho must be nonnegative")
-        p = int(self.prime)
-        if p < 2 or any(p % k == 0 for k in range(2, int(p**0.5) + 1)):
-            raise ConfigError(f"prime must be a prime number, got {self.prime}")
-        if p >= 1 << 16:
-            raise ConfigError("prime must be below 2^16")
+        try:
+            check_prime(self.prime)
+        except BoxdynError as e:
+            raise ConfigError(str(e)) from e
         if not isinstance(self.oracle, dict) or "type" not in self.oracle:
             raise ConfigError("oracle spec must be a mapping with a 'type' key")
         return self
@@ -134,6 +137,8 @@ def load_mlp_weights(path) -> MlpOracle:
             vals = [float(v) for v in parts]
         except ValueError:
             fail(lineno, f"expected numbers, got {lines[lineno - 1]!r}")
+        if not all(map(math.isfinite, vals)):
+            fail(lineno, f"non-finite value in {lines[lineno - 1]!r}")
         if len(vals) != expect:
             raise DimensionMismatch(
                 f"{path}:{lineno}: expected {expect} values, got {len(vals)}"
@@ -190,6 +195,8 @@ def load_trajectory_data(path, lipschitz: float) -> LipschitzDataOracle:
             vals = [float(v) for v in parts]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric value in {text!r}")
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}:{lineno}: non-finite value in {text!r}")
         if ncols is None:
             ncols = len(vals)
             if ncols == 0 or ncols % 2 != 0:
@@ -240,7 +247,7 @@ def _cached_boxmap(cfg: AnalysisConfig, grid: CubicalGrid, oracle) -> BoxMap:
     cache = out / f"boxmap_{cfg.cache_key()}.npz"
     if cfg.cache and cache.exists():
         with np.load(cache) as z:
-            return BoxMap(grid, cfg.rho, jmin=z["jmin"], jmax=z["jmax"],
+            return BoxMap(grid, jmin=z["jmin"], jmax=z["jmax"],
                           exterior=z["exterior"])
     bm = build_boxmap(grid, oracle, cfg.rho)
     if cfg.cache:
@@ -321,7 +328,7 @@ def write_outputs(cfg: AnalysisConfig, mg: MorseGraph, manifest: dict):
 
 def load_morse_graph(path) -> MorseGraph:
     doc = json.loads(Path(path).read_text())
-    return morse_graph_from_jsonable(doc, index_factory=ConleyIndex.from_jsonable)
+    return morse_graph_from_jsonable(doc)
 
 
 def cmd_analyze(cfg: AnalysisConfig):

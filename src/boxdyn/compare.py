@@ -53,9 +53,6 @@ class NuMap:
         self.order_preserving = bool(order_preserving)
         self.counterexamples = list(counterexamples)
 
-    def __call__(self, q: int) -> int:
-        return self.assignment[q]
-
     def to_jsonable(self) -> dict:
         return {
             "assignment": {str(k): v for k, v in self.assignment.items()},

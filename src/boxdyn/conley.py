@@ -167,32 +167,38 @@ def shift_invariant_factors(m: np.ndarray, p: int):
     return out
 
 
+def _label(factors, p):
+    """Product of one dimension's factors; None (zero class) for none."""
+    return _poly_product(factors, p) if factors else None
+
+
 def shift_class(m: np.ndarray, p: int):
     """Characteristic polynomial of m restricted to its eventual image,
     the product of its invariant factors.  Returns ascending
     coefficients, or None when the eventual image is trivial (nilpotent m).
     """
-    factors = shift_invariant_factors(m, p)
-    return _poly_product(factors, p) if factors else None
+    return _label(shift_invariant_factors(m, p), p)
 
 
 @dataclass(frozen=True)
 class ConleyIndex:
-    """Per-dimension shift-class labels of an isolated invariant set."""
+    """Per-dimension shift classes of an isolated invariant set."""
 
     prime: int
-    polys: tuple  # per dim: ascending coeff tuple, or None for zero
     invariant_factors: tuple  # per dim: tuple of ascending coeff tuples
 
+    @property
+    def polys(self):  # per dim: ascending coeff tuple, or None for zero
+        return tuple(_label(fs, self.prime) for fs in self.invariant_factors)
+
     def __str__(self):
-        inner = ", ".join(format_poly(q, self.prime) for q in self.polys)
-        return f"({inner})"
+        return f"({', '.join(self.labels())})"
 
     def labels(self):
         return tuple(format_poly(q, self.prime) for q in self.polys)
 
     def is_trivial(self) -> bool:
-        return all(q is None for q in self.polys)
+        return not any(self.invariant_factors)
 
     def to_jsonable(self) -> dict:
         return {
@@ -206,13 +212,17 @@ class ConleyIndex:
 
     @classmethod
     def from_jsonable(cls, doc: dict) -> "ConleyIndex":
-        return cls(
+        ci = cls(  # stored polys and labels must agree with the factors
             prime=int(doc["prime"]),
-            polys=tuple(None if q is None else tuple(q) for q in doc["polys"]),
             invariant_factors=tuple(
                 tuple(tuple(f) for f in fs) for fs in doc["invariant_factors"]
             ),
         )
+        for key in ("polys", "labels"):
+            if key in doc and doc[key] != ci.to_jsonable()[key]:
+                raise BoxdynError(f"Conley index record: {key} {doc[key]} "
+                                  "disagree with its invariant factors")
+        return ci
 
 
 def conley_index(boxmap: BoxMap, cond: Condensation, cid: int,
@@ -228,14 +238,9 @@ def conley_index(boxmap: BoxMap, cond: Condensation, cid: int,
     basis = HomologyBasis(complex)
     cm = chain_map(boxmap, complex)
     mats = induced_homology_map(cm, basis)
-    polys = []
-    factors = []
-    for dim in range(boxmap.grid.dimension + 1):
-        fs = tuple(shift_invariant_factors(mats[dim], prime))
-        polys.append(_poly_product(fs, prime) if fs else None)
-        factors.append(fs)
-    return ConleyIndex(prime=prime, polys=tuple(polys),
-                       invariant_factors=tuple(factors))
+    return ConleyIndex(prime=prime, invariant_factors=tuple(
+        tuple(shift_invariant_factors(mats[dim], prime))
+        for dim in range(boxmap.grid.dimension + 1)))
 
 
 def nontriviality(ci: ConleyIndex):

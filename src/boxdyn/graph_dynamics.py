@@ -65,6 +65,10 @@ class Condensation:
         return int(self.comp_of[int(box)])
 
     def members(self, cid: int) -> np.ndarray:
+        """Sorted boxes of component cid.  Every member of a recurrent
+        component is a candidate, so only the candidates are searched."""
+        if self.is_recurrent(cid):
+            return self.candidates[self.comp_of[self.candidates] == int(cid)]
         return np.flatnonzero(self.comp_of == int(cid))
 
     def is_recurrent(self, cid: int) -> bool:
@@ -105,7 +109,7 @@ def _coarsen(bm: BoxMap) -> BoxMap:
         lo[k] >>= 1
         hi[k] >>= 1
     coarse = CubicalGrid(grid.space, [max(s - 1, 0) for s in grid.subdivisions])
-    return BoxMap(coarse, bm.rho, jmin=lo.reshape(d, -1).T,
+    return BoxMap(coarse, jmin=lo.reshape(d, -1).T,
                   jmax=hi.reshape(d, -1).T, exterior=ext.reshape(-1))
 
 
@@ -243,7 +247,7 @@ def index_pair(cond: Condensation, cid: int) -> IndexPairC:
 
 def verify_attracting_block(boxmap: BoxMap, boxes) -> bool:
     """True iff every box's targets stay inside the set (exterior vacuous)."""
-    boxes = np.unique(np.asarray(list(boxes), dtype=np.int64))
+    boxes = np.unique(boxmap.grid.box_indices(boxes))
     mask = np.zeros(boxmap.n_boxes, dtype=bool)
     mask[boxes] = True
     return bool(mask[boxmap.expand(boxes)[1]].all())
@@ -338,17 +342,6 @@ class MorseGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), indent=2)
 
-    def __eq__(self, other):
-        if not isinstance(other, MorseGraph):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.component_ids == other.component_ids
-            and self.order == other.order
-            and all(np.array_equal(a, b) for a, b in zip(self.regions, other.regions))
-            and self.index_of == other.index_of
-        )
-
 
 def morse_graph(cond: Condensation) -> MorseGraph:
     """Morse graph of a condensation: recurrent components ordered by
@@ -368,14 +361,16 @@ def morse_graph(cond: Condensation) -> MorseGraph:
     return MorseGraph(boxmap.grid, comp_ids, regions, downsets, order)
 
 
-def morse_graph_from_jsonable(doc: dict, index_factory=None) -> MorseGraph:
-    """Rebuild a MorseGraph from its JSON document.
+def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
+    """Rebuild a MorseGraph, Conley indices included, from its JSON.
 
     Downsets are not stored, so the rebuilt graph has none and
     downset_of raises (the JSON document is a record of nodes, order,
-    and regions).  index_factory maps the serialized Conley-index payload back to an
-    index object.
+    and regions).
     """
+    # conley imports this module, so the import cannot be at the top
+    from .conley import ConleyIndex
+
     g = doc["grid"]
     grid = CubicalGrid(PhaseSpace(g["lower"], g["upper"]), g["subdivisions"])
     nodes = doc["nodes"]
@@ -386,8 +381,7 @@ def morse_graph_from_jsonable(doc: dict, index_factory=None) -> MorseGraph:
         None,
         [tuple(p) for p in doc["order"]],
     )
-    if index_factory is not None:
-        for nd in nodes:
-            if nd.get("conley_index") is not None:
-                mg.index_of[nd["id"]] = index_factory(nd["conley_index"])
+    for nd in nodes:
+        if nd.get("conley_index") is not None:
+            mg.index_of[nd["id"]] = ConleyIndex.from_jsonable(nd["conley_index"])
     return mg

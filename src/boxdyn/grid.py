@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointOutsideDomain
+from .errors import BoxdynError, PointOutsideDomain
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,9 @@ class PhaseSpace:
         self.upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper dimension mismatch")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("phase space requires lower[i] < upper[i]")
+        if not (np.all(self.lower < self.upper)
+                and np.isfinite([self.lower, self.upper]).all()):
+            raise ValueError("phase space requires finite lower[i] < upper[i]")
 
     @property
     def dimension(self) -> int:
@@ -114,6 +115,18 @@ class CubicalGrid:
 
     def multi_index(self, linear: int):
         return tuple(int(v) for v in np.unravel_index(int(linear), self.shape))
+
+    def box_indices(self, boxes) -> np.ndarray:
+        """Linear box indices as an int64 array; BoxdynError if one lies
+        outside [0, box_count)."""
+        if not isinstance(boxes, np.ndarray):
+            boxes = list(boxes)
+        boxes = np.asarray(boxes, dtype=np.int64).reshape(-1)
+        if boxes.size and not 0 <= boxes.min() <= boxes.max() < self.box_count:
+            bad = boxes[(boxes < 0) | (boxes >= self.box_count)][0]
+            raise BoxdynError(f"box index {bad} is outside the grid of "
+                              f"{self.box_count} boxes")
+        return boxes
 
     def box_containing(self, point):
         """Multi-index of the box containing a point of X.

@@ -56,6 +56,7 @@ phi(del) is checked on every cell whose phi is computed.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,6 +65,18 @@ from scipy.sparse.csgraph import connected_components
 from .errors import BoxdynError, CarrierNotAcyclic
 from .grid import CubicalGrid
 from .outer_approx import BoxMap
+
+
+def check_prime(p) -> int:
+    """p as an int if it is a prime below 2^16, else BoxdynError.  Below
+    2^16 a product of two residues is below 2^32, so the int64 sums of
+    induced_homology_map cannot overflow."""
+    p = int(p)
+    if not (2 <= p < 1 << 16
+            and all(p % k for k in range(2, math.isqrt(p) + 1))):
+        raise BoxdynError(f"field order must be a prime below 2^16, got {p}")
+    return p
+
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -113,12 +126,10 @@ def _eliminate(vec: dict, track: dict, column, p: int) -> int:
 
 
 def _box_mask(grid: CubicalGrid, boxes) -> np.ndarray:
-    """Membership of linear box indices; the extra last slot stays False
-    and answers for the index -1."""
-    if not isinstance(boxes, np.ndarray):
-        boxes = list(boxes)
+    """Membership of linear box indices, each on the grid; the extra last
+    slot stays False and answers for the index -1."""
     mask = np.zeros(grid.box_count + 1, dtype=bool)
-    mask[np.asarray(boxes, dtype=np.int64)] = True
+    mask[grid.box_indices(boxes)] = True
     return mask
 
 
@@ -144,10 +155,8 @@ class PairComplex:
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
-        if prime < 2 or any(prime % k == 0 for k in range(2, int(prime**0.5) + 1)):
-            raise BoxdynError(f"field order must be prime, got {prime}")
         self.grid = grid
-        self.prime = int(prime)
+        self.prime = check_prime(prime)
         self._in_p1 = _box_mask(grid, p1)
         in_p0 = _box_mask(grid, p0)
         if (in_p0 & ~self._in_p1).any():

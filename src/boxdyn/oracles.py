@@ -138,6 +138,8 @@ class LeslieOracle(MapOracle):
 
     def __init__(self, theta=(23.5, 23.5), domain: PhaseSpace | None = None):
         self.theta = (float(theta[0]), float(theta[1]))
+        if not all(map(math.isfinite, self.theta)):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         self.domain = domain
 
     @property
@@ -197,8 +199,8 @@ class PiecewiseExample1D(MapOracle):
     """
 
     def __init__(self, theta: float, domain: PhaseSpace | None = None):
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if not 0 <= theta < math.inf:
+            raise ValueError("theta must be finite and nonnegative")
         self.theta = float(theta)
         self.domain = domain
 
@@ -293,8 +295,8 @@ class LipschitzDataOracle(MapOracle):
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if xs.shape != ys.shape or xs.shape[0] == 0:
             raise DimensionMismatch("samples must be matching nonempty (n, d) arrays")
-        if lipschitz < 0:
-            raise ValueError("Lipschitz bound must be nonnegative")
+        if not 0 <= lipschitz < math.inf:
+            raise ValueError("Lipschitz bound must be finite and nonnegative")
         self.xs = xs
         self.ys = ys
         self.L = float(lipschitz)

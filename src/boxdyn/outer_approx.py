@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import BoxdynError, GridMismatch
 from .grid import CubicalGrid
 from .oracles import MapOracle
 
@@ -29,27 +29,19 @@ class BoxMap:
     ranges of each box.  Exterior boxes have no targets.
     """
 
-    def __init__(self, grid: CubicalGrid, rho: float, *, jmin, jmax,
-                 exterior=None):
+    def __init__(self, grid: CubicalGrid, *, jmin, jmax, exterior):
         self.grid = grid
-        self.rho = float(rho)
         self.jmin = jmin
         self.jmax = jmax
-        if exterior is None:
-            exterior = np.zeros(grid.box_count, dtype=bool)
         self.exterior = exterior
 
     @property
     def n_boxes(self) -> int:
         return self.grid.box_count
 
-    def out_degrees(self) -> np.ndarray:
-        deg = np.prod(self.jmax.astype(np.int64) - self.jmin + 1, axis=1)
-        deg[self.exterior] = 0
-        return deg
-
     def total_edges(self) -> int:
-        return int(self.out_degrees().sum())
+        deg = np.prod(self.jmax.astype(np.int64) - self.jmin + 1, axis=1)
+        return int(deg[~self.exterior].sum())
 
     def expand(self, rows):
         """Targets of the given boxes as CSR arrays (indptr, indices).
@@ -114,16 +106,23 @@ class BoxMap:
 
 
 def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
-    """rho-inflated combinatorial outer approximation of the oracle."""
-    if rho < 0:
+    """rho-inflated combinatorial outer approximation of the oracle.
+
+    An enclosure with a NaN bound is refused: index_ranges_bulk would
+    read it as escape.  An infinite bound is sound and kept."""
+    if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if oracle.dimension != grid.dimension:
         raise GridMismatch(
             f"oracle dimension {oracle.dimension} != grid dimension {grid.dimension}"
         )
     lo, hi = oracle.image_rects(grid)
+    if np.isnan(lo.min()) or np.isnan(hi.max()):  # min and max keep a NaN
+        box = int(np.argmax(np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1)))
+        raise BoxdynError(f"the enclosure of box {grid.multi_index(box)} "
+                          "has a NaN bound")
     jmin, jmax, nonempty = grid.index_ranges_bulk(lo, hi, pad=rho)
-    return BoxMap(grid, rho, jmin=jmin, jmax=jmax, exterior=~nonempty)
+    return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=~nonempty)
 
 
 def encloses(a: BoxMap, b: BoxMap) -> bool:

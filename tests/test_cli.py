@@ -14,6 +14,7 @@ from boxdyn.cli import (
     run_analysis,
 )
 from boxdyn.errors import (
+    BoxdynError,
     ConfigError,
     DimensionMismatch,
     EmptyDataset,
@@ -75,6 +76,14 @@ class TestWeightsParsing:
         with pytest.raises(ParseError):
             load_mlp_weights(p)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_weight_reports_line_number(self, tmp_path, value):
+        p = tmp_path / "w.txt"
+        p.write_text("mlp-weights v1\nactivation relu\nlayers 1\n"
+                     f"layer 2 2\n1 0\n0 {value}\n0 0\n")
+        with pytest.raises(ParseError, match=":6:"):
+            load_mlp_weights(p)
+
 
 class TestTrajectoryLoading:
     def test_single_pair(self, tmp_path):
@@ -93,6 +102,13 @@ class TestTrajectoryLoading:
     def test_malformed_row_reports_line_number(self, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("0.5 0.25\n0.1 oops\n")
+        with pytest.raises(ParseError, match=":2:"):
+            load_trajectory_data(p, 2.0)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_sample_reports_line_number(self, tmp_path, value):
+        p = tmp_path / "d.txt"
+        p.write_text(f"0.5 0.25\n0.1 {value}\n")
         with pytest.raises(ParseError, match=":2:"):
             load_trajectory_data(p, 2.0)
 
@@ -192,6 +208,22 @@ class TestAnalyzeCommand:
             assert back.region_of(q).tolist() == mg.region_of(q).tolist()
             assert back.index_of[q] == mg.index_of[q]
 
+    def test_edited_label_is_refused(self, tmp_path):
+        """A record whose label disagrees with its invariant factors
+        cannot be reloaded: the factors are the index, the label derives."""
+        cfg = load_config(write_config(tmp_path / "c.json"))
+        mg, _ = run_analysis(cfg)
+        from boxdyn.cli import write_outputs
+        write_outputs(cfg, mg, {})
+        path = tmp_path / "out" / "morse_graph.json"
+        doc = json.loads(path.read_text())
+        ci = next(nd["conley_index"] for nd in doc["nodes"]
+                  if nd["conley_index"]["labels"][0] == "x - 1")
+        ci["labels"][0] = "x + 1"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BoxdynError, match="labels"):
+            load_morse_graph(path)
+
     def test_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json")
         out2 = tmp_path / "alt"
@@ -267,14 +299,26 @@ class TestAnalyzeCommand:
         ["--oracle", "piecewise1d:-1"],
         ["--oracle", "data:{tmp}/missing.txt:3"],
         ["--config", "{tmp}/no_theta.json"],
+        ["--rho", "nan"],
+        ["--domain", "nan:2"],
+        ["--domain=-2:inf"],
+        ["--domain=0:90,0:70", "--depth", "3,3", "--oracle", "leslie:nan,23.5"],
+        ["--oracle", "data:{tmp}/pairs.txt:nan"],
+        ["--oracle", "data:{tmp}/nan_sample.txt:3"],
+        ["--prime", "65537"],
     ], ids=["depth-not-int", "depth-negative", "leslie-theta-not-float",
             "leslie-theta-short", "piecewise-theta-negative", "data-file-missing",
-            "piecewise-theta-missing"])
+            "piecewise-theta-missing", "rho-nan", "domain-nan", "domain-inf",
+            "leslie-theta-nan", "data-lipschitz-nan", "data-sample-nan",
+            "prime-above-2e16"])
     def test_bad_input_exit_code(self, tmp_path, capsys, flags):
         """A bad flag value or oracle spec is an input error: exit 2 with
-        a message, not a traceback."""
+        a message, not a traceback.  A non-finite value is one too, not a
+        box whose image escapes."""
         good = write_config(tmp_path / "c.json")
         write_config(tmp_path / "no_theta.json", oracle={"type": "piecewise1d"})
+        (tmp_path / "pairs.txt").write_text("0.5 0.25\n-0.5 -0.25\n")
+        (tmp_path / "nan_sample.txt").write_text("0.5 nan\n-0.5 -0.25\n")
         argv = ["analyze", "--config", str(good), "--no-cache"]
         assert main(argv + [f.format(tmp=tmp_path) for f in flags]) == 2
         assert "configuration error" in capsys.readouterr().err

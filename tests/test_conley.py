@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from boxdyn import (
     build_boxmap,
     condensation,
     conley_index,
+    morse_graph,
+    morse_graph_from_jsonable,
     nontriviality,
 )
 from boxdyn.conley import (
@@ -257,11 +261,32 @@ class TestConleyIndexObject:
         assert back == ci
         assert back.labels() == ci.labels()
 
+    @pytest.mark.parametrize("key, value", [("labels", ["x + 1", "0"]),
+                                            ("polys", [[1, 1], None])])
+    def test_record_contradicting_its_factors_refused(self, key, value):
+        """The stored factor is x - 1 at p = 5; a label or polynomial
+        edited to x + 1 contradicts it."""
+        doc = self._sample().to_jsonable()
+        assert doc["invariant_factors"] == [[[4, 1]], []]
+        doc[key] = value
+        with pytest.raises(BoxdynError, match=key):
+            ConleyIndex.from_jsonable(doc)
+
+    def test_morse_graph_json_restores_every_index(self):
+        g = CubicalGrid(PhaseSpace([-2.0], [2.0]), [8])
+        bm = build_boxmap(g, PiecewiseExample1D(1.5), 1e-3)
+        cond = condensation(bm)
+        mg = morse_graph(cond)
+        for q, cid in enumerate(mg.component_ids):
+            mg.index_of[q] = conley_index(bm, cond, cid, prime=5)
+        back = morse_graph_from_jsonable(json.loads(mg.to_json()))
+        assert back.index_of == mg.index_of
+        assert back.to_dot() == mg.to_dot()
+
     def test_nontriviality_report(self):
         ci = self._sample()
         flag, report = nontriviality(ci)
         assert flag and "nonzero" in report
-        trivial = ConleyIndex(prime=5, polys=(None, None),
-                              invariant_factors=((), ()))
+        trivial = ConleyIndex(prime=5, invariant_factors=((), ()))
         flag, report = nontriviality(trivial)
         assert not flag

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boxdyn import (
+    BoxdynError,
     CallableOracle,
     CubicalGrid,
     LeslieOracle,
@@ -146,7 +147,7 @@ def random_rect_boxmap(rng, depths):
     target[jump] = rng.integers(0, shape, size=(int(jump.sum()), d))
     jmin = np.clip(target - (rng.random((n, d)) < 0.3), 0, shape - 1)
     jmax = np.clip(target + (rng.random((n, d)) < 0.3), 0, shape - 1)
-    return BoxMap(grid, 0.0, jmin=jmin.astype(np.int32),
+    return BoxMap(grid, jmin=jmin.astype(np.int32),
                   jmax=jmax.astype(np.int32), exterior=rng.random(n) < 0.15)
 
 
@@ -350,6 +351,12 @@ class TestVerifyAttractingBlock:
     def test_escaping_single_box_false(self):
         bm = digraph_boxmap(2, [(0, 1)])
         assert not verify_attracting_block(bm, [0])
+
+    @pytest.mark.parametrize("box", [-1, 2, -3])
+    def test_box_outside_the_grid_refused(self, box):
+        bm = digraph_boxmap(2, [(0, 1), (1, 1)])
+        with pytest.raises(BoxdynError, match="outside the grid"):
+            verify_attracting_block(bm, [1, box])
 
 
 class TestMorseGraph:

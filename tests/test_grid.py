@@ -138,3 +138,12 @@ class TestRect:
     def test_invalid_rect_raises(self):
         with pytest.raises(ValueError):
             Rect([1.0], [0.0])
+
+
+class TestPhaseSpace:
+    @pytest.mark.parametrize("lower, upper", [([np.nan], [1.0]),
+                                              ([0.0], [np.inf]),
+                                              ([-np.inf], [0.0])])
+    def test_non_finite_bounds_raise(self, lower, upper):
+        with pytest.raises(ValueError):
+            PhaseSpace(lower, upper)

@@ -147,6 +147,26 @@ class TestPairComplex:
         cx = PairComplex(g, set(), set())
         assert HomologyBasis(cx).betti_numbers(2) == [0, 0, 0]
 
+    @pytest.mark.parametrize("prime", [1, 6, 65537])
+    def test_prime_rule(self, prime):
+        """The field order is a prime below 2^16, so that the int64 sums
+        of the index matrix cannot overflow."""
+        with pytest.raises(BoxdynError, match="prime below 2\\^16"):
+            PairComplex(grid2d(), [0], set(), prime=prime)
+
+    def test_largest_allowed_prime(self):
+        assert PairComplex(grid2d(), [0], set(), prime=65521).prime == 65521
+
+    @pytest.mark.parametrize("extra", [-1, 16, -2, -17])
+    def test_box_outside_the_grid_refused(self, extra):
+        """-1 and 16 would land on the mask's sentinel slot, and other
+        negative indices would wrap around."""
+        g = grid2d()
+        with pytest.raises(BoxdynError, match="outside the grid"):
+            PairComplex(g, list(range(16)) + [extra], [extra])
+        with pytest.raises(BoxdynError, match="outside the grid"):
+            PairComplex(g, [extra], set())
+
     def test_annulus_ring(self):
         g = grid2d(2, 2)  # 4x4 boxes; ring = all but the 2x2 middle... use 4x4 minus center 2x2
         ring = [g.linearize((i, j)) for i in range(4) for j in range(4)
@@ -365,7 +385,7 @@ class TestCarrierRectangle:
                 exterior = np.zeros(g.box_count, dtype=bool)
                 if trial % 4 == 3:  # inside P1, so the exterior guard passes
                     exterior[rng.choice(p1)] = True
-                bm = BoxMap(g, 0.0, jmin=jmin, jmax=jmax, exterior=exterior)
+                bm = BoxMap(g, jmin=jmin, jmax=jmax, exterior=exterior)
                 p0 = [int(b) for b in p1 if rng.random() < 0.3]
                 cx = PairComplex(g, p1, p0)
                 in_p1 = set(p1.tolist())
@@ -482,7 +502,7 @@ class TestChainMap:
         carrier, while the only H_0 representative is the vertex at 0."""
         g = grid1d(2)
         ranges = np.array([[0], [0], [0], [last_target]])
-        bm = BoxMap(g, 0.0, jmin=ranges, jmax=ranges,
+        bm = BoxMap(g, jmin=ranges, jmax=ranges,
                     exterior=np.array([False] * 3 + [last_exterior]))
         cx = PairComplex(g, range(4), set())
         named = cells(cx)
@@ -496,7 +516,7 @@ class TestChainMap:
         """Box 3 is exterior and outside P1 = {0, 1, 2}; the vertex it
         shares with box 2 is a cell of the quotient."""
         g = grid1d(2)
-        bm = BoxMap(g, 0.0, jmin=np.array([[0], [0], [1], [0]]),
+        bm = BoxMap(g, jmin=np.array([[0], [0], [1], [0]]),
                     jmax=np.array([[1], [1], [2], [0]]),
                     exterior=np.array([False, False, False, True]))
         cx = PairComplex(g, [0, 1, 2], set())

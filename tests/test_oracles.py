@@ -79,6 +79,18 @@ class TestLeslieEval:
                 assert np.all(y >= lo[k]) and np.all(y <= hi[k])
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: LeslieOracle((v, 23.5)),
+    lambda v: LeslieOracle((23.5, v)),
+    lambda v: PiecewiseExample1D(v),
+    lambda v: LipschitzDataOracle([[0.0]], [[0.0]], v),
+], ids=["leslie-theta1", "leslie-theta2", "piecewise-theta", "data-lipschitz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameter_refused(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
+
 class TestPiecewise1D:
     def test_eval_branches(self):
         o = PiecewiseExample1D(1.5)

@@ -12,7 +12,7 @@ from boxdyn import (
     build_boxmap,
     encloses,
 )
-from boxdyn import outer_approx
+from boxdyn import BoxdynError, outer_approx
 from boxdyn.outer_approx import _CHUNK_EDGES, BoxMap
 
 from conftest import box_rect, boxes_intersecting
@@ -76,6 +76,30 @@ class TestBuildBoxmap:
         grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])
         with pytest.raises(ValueError):
             build_boxmap(grid, identity_oracle(), -0.1)
+
+    def test_nan_rho_rejected(self):
+        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])
+        with pytest.raises(ValueError):
+            build_boxmap(grid, identity_oracle(), float("nan"))
+
+    def test_nan_enclosure_refused(self):
+        """A NaN bound would read as escape; the first box with one is
+        named.  Here the corner 0.75 of box 2 is the first NaN image."""
+        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])
+        oracle = CallableOracle(lambda x: x if x[0] < 0.6 else [np.nan],
+                                lipschitz=1.0, dimension=1)
+        with pytest.raises(BoxdynError, match=r"box \(2,\)"):
+            build_boxmap(grid, oracle, 0.0)
+
+    def test_infinite_enclosure_kept(self):
+        """An infinite bound is sound: the box meets the grid up to its
+        edge, or misses it and is exterior."""
+        grid = CubicalGrid(PhaseSpace([0.0], [1.0]), [2])
+        oracle = CallableOracle(lambda x: [np.inf] if x[0] > 0.6 else x,
+                                lipschitz=1.0, dimension=1)
+        bm = build_boxmap(grid, oracle, 0.0)
+        assert bm.exterior.tolist() == [False, False, False, True]
+        assert bm.targets(2).tolist() == [1, 2, 3]
 
     def test_dimension_mismatch(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
@@ -167,7 +191,7 @@ class TestAdjacency:
             n, shape = grid.box_count, np.array(grid.shape)
             a = rng.integers(0, shape, size=(n, len(depths)))
             b = rng.integers(0, shape, size=(n, len(depths)))
-            bm = BoxMap(grid, 0.0, jmin=np.minimum(a, b).astype(np.int32),
+            bm = BoxMap(grid, jmin=np.minimum(a, b).astype(np.int32),
                         jmax=np.maximum(a, b).astype(np.int32),
                         exterior=rng.random(n) < 0.2)
             rows = rng.integers(0, n, size=2 * n)

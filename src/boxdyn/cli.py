@@ -15,8 +15,11 @@ import hashlib
 import json
 import math
 import platform
+import resource
 import sys
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +41,10 @@ from .outer_approx import BoxMap, build_boxmap
 
 WEIGHTS_FORMAT_TAG = "mlp-weights v1"
 DATA_FORMAT_TAG = "trajectory-pairs v1"
+
+# what np.load raises on a damaged or foreign .npz file
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+               zipfile.BadZipFile, zlib.error)
 
 
 @dataclass
@@ -69,6 +76,8 @@ class AnalysisConfig:
             raise ConfigError(str(e)) from e
         if not isinstance(self.oracle, dict) or "type" not in self.oracle:
             raise ConfigError("oracle spec must be a mapping with a 'type' key")
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a directory path, got {self.out!r}")
         return self
 
     def to_jsonable(self) -> dict:
@@ -115,6 +124,8 @@ def load_config(path) -> AnalysisConfig:
         ).validate()
     except KeyError as e:
         raise ConfigError(f"config {path} missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid config {path}: {e}") from e
 
 
 def load_mlp_weights(path) -> MlpOracle:
@@ -242,13 +253,35 @@ def build_oracle(cfg: AnalysisConfig, space: PhaseSpace):
     raise ConfigError(f"unknown oracle type {kind!r}")
 
 
+def _load_boxmap(path, grid: CubicalGrid) -> BoxMap:
+    """The box map stored at path.  ValueError if the arrays are not a
+    box map on grid: integer ranges of shape (n, d) that lie on the grid
+    for every non-exterior box, and a bool exterior flag of shape (n,)."""
+    with np.load(path) as z:
+        jmin, jmax, exterior = z["jmin"], z["jmax"], z["exterior"]
+    shape = (grid.box_count, grid.dimension)
+    if not (jmin.dtype.kind in "iu" and jmax.dtype.kind in "iu"
+            and jmin.shape == jmax.shape == shape):
+        raise ValueError(f"jmin and jmax are not integer arrays of shape {shape}")
+    if exterior.dtype != bool or exterior.shape != shape[:1]:
+        raise ValueError(f"exterior is not a bool array of shape {shape[:1]}")
+    off = (jmin < 0) | (jmin > jmax) | (jmax >= np.array(grid.shape))
+    if (off.any(axis=1) & ~exterior).any():
+        raise ValueError("a target range leaves the grid")
+    return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=exterior)
+
+
 def _cached_boxmap(cfg: AnalysisConfig, grid: CubicalGrid, oracle) -> BoxMap:
+    """The box map of cfg, read from the cache when it holds a valid one;
+    otherwise built from the oracle and, with caching on, (re)written."""
     out = Path(cfg.out)
     cache = out / f"boxmap_{cfg.cache_key()}.npz"
     if cfg.cache and cache.exists():
-        with np.load(cache) as z:
-            return BoxMap(grid, jmin=z["jmin"], jmax=z["jmax"],
-                          exterior=z["exterior"])
+        try:
+            return _load_boxmap(cache, grid)
+        except _UNREADABLE as e:
+            print(f"box-map cache {cache} is unusable ({e}); rebuilding it",
+                  file=sys.stderr)
     bm = build_boxmap(grid, oracle, cfg.rho)
     if cfg.cache:
         out.mkdir(parents=True, exist_ok=True)
@@ -257,9 +290,16 @@ def _cached_boxmap(cfg: AnalysisConfig, grid: CubicalGrid, oracle) -> BoxMap:
     return bm
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB (Linux reports
+    ru_maxrss in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def run_analysis(cfg: AnalysisConfig):
     """Full pipeline; returns (MorseGraph, manifest dict)."""
     timings = {}
+    peak_rss_mb = {}
     t0 = time.perf_counter()
     space = PhaseSpace(cfg.lower, cfg.upper)
     grid = CubicalGrid(space, cfg.depths)
@@ -271,17 +311,20 @@ def run_analysis(cfg: AnalysisConfig):
         )
     boxmap = _cached_boxmap(cfg, grid, oracle)
     timings["boxmap_s"] = time.perf_counter() - t0
+    peak_rss_mb["boxmap"] = _peak_rss_mb()
 
     t1 = time.perf_counter()
     cond = condensation(boxmap)
     mg = morse_graph(cond)
     timings["morse_graph_s"] = time.perf_counter() - t1
+    peak_rss_mb["morse_graph"] = _peak_rss_mb()
 
     t2 = time.perf_counter()
     for q, cid in enumerate(mg.component_ids):
         mg.index_of[q] = conley_index(boxmap, cond, cid, cfg.prime)
     timings["conley_s"] = time.perf_counter() - t2
     timings["total_s"] = time.perf_counter() - t0
+    peak_rss_mb["conley"] = _peak_rss_mb()
 
     manifest = {
         "config": cfg.to_jsonable(),
@@ -296,6 +339,7 @@ def run_analysis(cfg: AnalysisConfig):
             "recurrent_boxes": sum(int(r.size) for r in mg.regions),
         },
         "timings": timings,
+        "peak_rss_mb": peak_rss_mb,
         "versions": {
             "boxdyn": __version__,
             "numpy": np.__version__,

@@ -17,7 +17,6 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, PointOutsideDomain
 from .grid import CubicalGrid, PhaseSpace, Rect
@@ -300,6 +299,8 @@ class LipschitzDataOracle(MapOracle):
         self.xs = xs
         self.ys = ys
         self.L = float(lipschitz)
+        # only data runs need scipy.spatial, so only they pay its import
+        from scipy.spatial import cKDTree
         self._tree = cKDTree(xs)
 
     @property

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +150,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("over", [
+        {"rho": "abc"},
+        {"prime": "x"},
+        {"domain": {"lower": ["-2"], "upper": [2.0]}},
+        {"domain": [[-2.0], [2.0]]},
+        {"out": 5},
+        None,
+    ], ids=["rho-text", "prime-text", "domain-bound-text", "domain-list",
+            "out-number", "top-level-array"])
+    def test_ill_typed_value_exit_code(self, tmp_path, capsys, over):
+        """A JSON value of the wrong type is a configuration error (exit
+        2), not a traceback."""
+        p = tmp_path / "c.json"
+        if over is None:
+            p.write_text(json.dumps([1, 2]))
+        else:
+            write_config(p, **over)
+        assert main(["analyze", "--config", str(p), "--no-cache"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_cache_key_ignores_out_dir(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.json", out="x"))
         b = load_config(write_config(tmp_path / "b.json", out="y"))
@@ -165,6 +188,9 @@ class TestAnalyzeCommand:
         assert manifest["n_boxes"] == 64
         assert manifest["n_morse_nodes"] >= 1
         assert "boxdyn" in manifest["versions"]
+        rss = manifest["peak_rss_mb"]
+        assert list(rss) == ["boxmap", "morse_graph", "conley"]
+        assert 0 < rss["boxmap"] <= rss["morse_graph"] <= rss["conley"]
         dot = (out / "morse_graph.dot").read_text()
         assert "digraph" in dot and "x - 1" in dot
 
@@ -284,6 +310,42 @@ class TestAnalyzeCommand:
         assert label_at_origin(2.0) == ("0", "x - 1")  # repelling
         assert len(list((tmp_path / "out").glob("boxmap_*.npz"))) == 2
 
+    @pytest.mark.parametrize("damage", ["truncated", "jmax-off-grid",
+                                        "key-missing", "exterior-shape"])
+    def test_damaged_cache_is_rebuilt(self, tmp_path, capsys, damage):
+        """A cache file that is not a box map on the grid is a miss: the
+        run says so, rebuilds from the oracle, rewrites the file and
+        writes the same graph as an uncached run."""
+        argv = ["analyze", "--domain=0:90,0:70", "--depth", "5,5",
+                "--rho", "0.03", "--oracle", "leslie"]
+        assert main(argv + ["--out", str(tmp_path / "ref"), "--no-cache"]) == 0
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        cache, = out.glob("boxmap_*.npz")
+        with np.load(cache) as z:
+            built = dict(z)
+        arrays = {k: v.copy() for k, v in built.items()}
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[:100])
+        else:
+            if damage == "jmax-off-grid":
+                box = int(np.flatnonzero(~arrays["exterior"])[0])
+                arrays["jmax"][box, 0] = 32
+            elif damage == "key-missing":
+                del arrays["exterior"]
+            else:
+                arrays["exterior"] = arrays["exterior"][:-1]
+            np.savez_compressed(cache, **arrays)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "cache" in capsys.readouterr().err
+        assert ((out / "morse_graph.json").read_bytes()
+                == (tmp_path / "ref" / "morse_graph.json").read_bytes())
+        with np.load(cache) as z:
+            assert sorted(z) == sorted(built)
+            for key in built:
+                assert np.array_equal(z[key], built[key]), key
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", prime=9)
         assert main(["analyze", "--config", str(cfg_path)]) == 2
@@ -340,6 +402,28 @@ class TestAnalyzeCommand:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["lower"] == [-1.0]
         assert manifest["config"]["upper"] == [1.0]
+
+
+def test_closed_form_runs_never_load_scipy_spatial(tmp_path):
+    """Only the data oracle needs scipy.spatial (a k-d tree): importing
+    boxdyn and running a Leslie analysis leave it unloaded, and building
+    a data oracle loads it.  Checked in a fresh interpreter, since this
+    one may have loaded it already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import boxdyn, boxdyn.cli
+assert boxdyn.cli.main(["analyze", "--domain=0:90,0:70", "--depth", "4,4",
+                        "--rho", "0.03", "--oracle", "leslie", "--no-cache",
+                        "--out", {str(tmp_path / "out")!r}]) == 0
+assert "scipy.spatial" not in sys.modules, "scipy.spatial loaded"
+boxdyn.LipschitzDataOracle([[0.0], [1.0]], [[0.5], [0.5]], 1.0)
+assert "scipy.spatial" in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestCompareCommand:

@@ -61,13 +61,17 @@ class AnalysisConfig:
     def validate(self):
         if len(self.lower) != len(self.upper) or len(self.lower) != len(self.depths):
             raise ConfigError("domain bounds and depths must share one dimension")
-        if any(not isinstance(d, int) or d < 0 for d in self.depths):
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
+               for d in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got "
                               f"{self.depths}")
         if any(not lo < up for lo, up in zip(self.lower, self.upper)):
             raise ConfigError("domain lower bounds must be below upper bounds")
         if not all(map(math.isfinite, [*self.lower, *self.upper])):
             raise ConfigError("domain bounds must be finite")
+        if isinstance(self.rho, bool) or not isinstance(self.rho, (int, float)):
+            raise ConfigError(f"rho must be a number, got {self.rho!r}")
+        self.rho = float(self.rho)
         if not self.rho >= 0:
             raise ConfigError("rho must be nonnegative")
         try:
@@ -117,8 +121,8 @@ def load_config(path) -> AnalysisConfig:
             lower=doc["domain"]["lower"],
             upper=doc["domain"]["upper"],
             depths=doc["depths"],
-            rho=float(doc["rho"]),
-            prime=int(doc.get("prime", 5)),
+            rho=doc["rho"],
+            prime=doc.get("prime", 5),
             oracle=doc["oracle"],
             out=doc.get("out", "out"),
         ).validate()
@@ -319,9 +323,19 @@ def run_analysis(cfg: AnalysisConfig):
     timings["morse_graph_s"] = time.perf_counter() - t1
     peak_rss_mb["morse_graph"] = _peak_rss_mb()
 
+    # per node: |P1| is the downset without its exterior boxes, and P0 is
+    # P1 without the region (a recurrent box has targets, so it is never
+    # exterior); the downsets are the Morse graph's, not searched again
     t2 = time.perf_counter()
+    nodes = []
     for q, cid in enumerate(mg.component_ids):
+        t = time.perf_counter()
         mg.index_of[q] = conley_index(boxmap, cond, cid, cfg.prime)
+        seconds = time.perf_counter() - t
+        region = int(mg.regions[q].size)
+        p1 = int(np.count_nonzero(~boxmap.exterior[mg.downsets[q]]))
+        nodes.append({"id": q, "region_boxes": region, "p1_boxes": p1,
+                      "p0_boxes": p1 - region, "conley_s": seconds})
     timings["conley_s"] = time.perf_counter() - t2
     timings["total_s"] = time.perf_counter() - t0
     peak_rss_mb["conley"] = _peak_rss_mb()
@@ -338,6 +352,7 @@ def run_analysis(cfg: AnalysisConfig):
             "levels": cond.levels,
             "recurrent_boxes": sum(int(r.size) for r in mg.regions),
         },
+        "nodes": nodes,
         "timings": timings,
         "peak_rss_mb": peak_rss_mb,
         "versions": {

@@ -8,11 +8,19 @@ anchor, then mask.  The relative complex of a pair of box sets (P1, P0)
 is realized as the quotient: a cell survives iff it has at least one
 coface box in P1 \\ P0 and none in P0.  PairComplex builds the closure
 (every face of a box of P1 \\ P0), its coface boxes, the boundary of
-every closure cell and the quotient cofaces in a few numpy passes.  A
-quotient cell is its position 0..n-1 in closure order, which is the
-reduction order: chains and cochains over the quotient are dicts
-position -> coefficient, and chains in the full complex, where the
-chain map is built, dicts code -> coefficient.
+every closure cell and the quotient faces and cofaces in a few numpy
+passes over codes (cubical cells as in Kaczynski, Mischaikow and Mrozek,
+Computational Homology, 2004).  A face of box j at offset bits(o) with
+mask m, o & m = 0, has the code of j's lowest vertex shifted left by d
+plus a constant per (o, m), so the closure is one broadcast add, one
+sort and one dedupe.  Coface slot k of a cell is the box at its anchor,
+found from the per-axis anchors, less bits(k) times the box strides;
+the cell stays in the quotient by an OR of one gather per slot.  The
+quotient faces are built once and stored, and the reduction and the
+cocycles read them.  A quotient cell is its position 0..n-1 in closure
+order, which is the reduction order: chains and cochains over the
+quotient are dicts position -> coefficient, and chains in the full
+complex, where the chain map is built, dicts code -> coefficient.
 
 Homology comes from a column reduction R = D V that runs from the top
 dimension down with clearing (Chen and Kerber, Persistent homology
@@ -57,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,14 +77,15 @@ from .outer_approx import BoxMap
 
 
 def check_prime(p) -> int:
-    """p as an int if it is a prime below 2^16, else BoxdynError.  Below
+    """p as an int if it is an integer (not a bool) and a prime below
+    2^16, else BoxdynError; a float is refused, not truncated.  Below
     2^16 a product of two residues is below 2^32, so the int64 sums of
     induced_homology_map cannot overflow."""
-    p = int(p)
-    if not (2 <= p < 1 << 16
-            and all(p % k for k in range(2, math.isqrt(p) + 1))):
-        raise BoxdynError(f"field order must be a prime below 2^16, got {p}")
-    return p
+    if (isinstance(p, bool) or not isinstance(p, numbers.Integral)
+            or not 2 <= p < 1 << 16
+            or not all(p % k for k in range(2, math.isqrt(p) + 1))):
+        raise BoxdynError(f"field order must be a prime below 2^16, got {p!r}")
+    return int(p)
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -125,14 +135,6 @@ def _eliminate(vec: dict, track: dict, column, p: int) -> int:
     return -1
 
 
-def _box_mask(grid: CubicalGrid, boxes) -> np.ndarray:
-    """Membership of linear box indices, each on the grid; the extra last
-    slot stays False and answers for the index -1."""
-    mask = np.zeros(grid.box_count + 1, dtype=bool)
-    mask[grid.box_indices(boxes)] = True
-    return mask
-
-
 class PairComplex:
     """Relative (quotient) cubical complex of a box-set pair on a grid.
 
@@ -145,64 +147,89 @@ class PairComplex:
     closure row: cofaces[r] lists the linear indices of the coface boxes,
     -1 where a box is absent (off the grid, or not a coface because the
     cell extends along that axis), column k being the box anchor -
-    bits(k); faces[r, 2i] and faces[r, 2i + 1] are the rows of the upper
-    and lower face along axis i, -1 where the cell does not extend along
-    it, with signs in signs[r] (0 for no face); position[r] is the row's
-    quotient position or -1, and its extra last slot answers for -1.
-    rows and dims give each quotient cell's closure row and dimension.
-    qcof[j, s] is the quotient coface whose face slot s holds the
-    quotient cell j, -1 for none: the transpose of qfaces.
+    bits(k); it is the transpose of a (2^d, n) array, so cofaces.T has
+    one contiguous row per slot.  faces[r, 2i] and faces[r, 2i + 1] are
+    the rows of the upper and lower face along axis i, -1 where the cell
+    does not extend along it, with signs in signs[r] (0 for no face);
+    position[r] is the row's quotient position or -1, and its extra last
+    slot answers for -1.  rows and dims give each quotient cell's closure
+    row and dimension.  By quotient position: qfaces[j] holds the
+    quotient positions of the faces, position[faces[rows[j]]], -1 for
+    none or outside the quotient, and qcof[j, s] is the quotient coface
+    whose face slot s holds the quotient cell j, -1 for none: the
+    transpose of qfaces.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
         self.grid = grid
         self.prime = check_prime(prime)
-        self._in_p1 = _box_mask(grid, p1)
-        in_p0 = _box_mask(grid, p0)
-        if (in_p0 & ~self._in_p1).any():
+        # state of each box: 0 outside P1, 1 in the region P1 \ P0, 2 in
+        # P0; the extra last slot stays 0 and answers for the index -1
+        state = np.zeros(grid.box_count + 1, dtype=np.int8)
+        state[grid.box_indices(p1)] = 1
+        p0 = grid.box_indices(p0)
+        if (state[p0] == 0).any():
             raise BoxdynError("P0 must be a subset of P1")
-        region = np.flatnonzero(self._in_p1 & ~in_p0)
+        state[p0] = 2
+        self._in_p1 = state > 0
+        region = np.flatnonzero(state == 1)
 
         d = grid.dimension
-        shape = np.asarray(grid.shape, dtype=np.int64)
-        self._vshape = tuple(int(s) + 1 for s in shape)
+        shape = [int(s) for s in grid.shape]
+        self._vshape = tuple(s + 1 for s in shape)
         self._vstrides = [int(np.prod(self._vshape[i + 1:])) for i in range(d)]
-        self._n_vertices = int(np.prod(self._vshape))
+        self._n_vertices = nv = int(np.prod(self._vshape))
+        bstrides = [int(np.prod(shape[i + 1:])) for i in range(d)]
         # bits[k, i] = bit i of k, for k < 2^d
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
         popcount = bits.sum(axis=1)
 
-        # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0;
-        # sorted, a code equal to its predecessor is a repeat
+        # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0,
+        # so a face's code is j's vertex code << d plus a constant per
+        # (o, m); sorted, a code equal to its predecessor is a repeat
         o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
-        box_j = np.stack(np.unravel_index(region, grid.shape), axis=1)
-        anchors = (box_j[:, None, :] + bits[o]).reshape(-1, d)
-        masks = np.tile(m, region.size)
-        lin = np.ravel_multi_index(tuple(anchors.T), self._vshape)
-        codes = np.sort(((popcount[masks] * self._n_vertices + lin) << d) + masks)
-        self.closure = codes[np.diff(codes, prepend=-1) != 0]
+        offset = ((popcount[m] * nv + bits[o] @ self._vstrides) << d) + m
+        vertex = np.zeros(region.size, dtype=np.int64)
+        for i in range(d):
+            vertex += region // bstrides[i] % shape[i] * self._vstrides[i]
+        codes = np.sort(((vertex << d) + offset[:, None]).ravel())
+        new = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=new[1:])
+        self.closure = codes[new]
 
         # coface k is the box at anchor - bits(k), present where the cell
-        # does not extend along the bits of k and the box is on the grid
-        anchor, mask = self._decode(self.closure)
-        present = (mask[:, None] & np.arange(1 << d)) == 0
-        boxes = np.zeros(present.shape, dtype=np.int64)
+        # does not extend along the bits of k and the box is on the grid.
+        # Along axis i that box is the one below the anchor if bit i of k
+        # is set, else the one above it; base is the box at the anchor.
+        n = self.closure.size
+        mask = self.closure & ((1 << d) - 1)
+        lin = (self.closure >> d) % nv
+        base = np.zeros(n, dtype=np.int64)
+        below, above = [], []
         for i in range(d):
-            b = anchor[:, i, None] - bits[:, i]
-            present &= (b >= 0) & (b < shape[i])
-            boxes += b * int(np.prod(shape[i + 1:]))
-        self.cofaces = np.where(present, boxes, -1)
+            a = lin // self._vstrides[i] % self._vshape[i]
+            base += a * bstrides[i]
+            below.append((a > 0) & (((mask >> i) & 1) == 0))
+            above.append(a < shape[i])
+        slots = np.empty((1 << d, n), dtype=np.int64)
+        seen = np.zeros(n, dtype=np.int8)  # OR of the coface states
+        for k in range(1 << d):
+            present = below[0] if k & 1 else above[0]
+            for i in range(1, d):
+                present = present & (below[i] if (k >> i) & 1 else above[i])
+            slots[k] = np.where(present, base - int(bits[k] @ bstrides), -1)
+            seen |= state[slots[k]]
+        self.cofaces = slots.T
 
         # along an extended axis i the lower face keeps the anchor and the
         # upper one is a vertex stride further; the upper face's sign is
         # (-1)^(extended axes below i), the lower face's the opposite.  The
         # closure holds every face of its cells, so each search hits.
-        n = self.closure.size
         self.faces = np.full((n, 2 * d), -1, dtype=np.int32)
         self.signs = np.zeros((n, 2 * d), dtype=np.int8)
         for i in range(d):
             j = np.flatnonzero((mask >> i) & 1)
-            lower = self.closure[j] - (self._n_vertices << d) - (1 << i)
+            lower = self.closure[j] - (nv << d) - (1 << i)
             upper = lower + (self._vstrides[i] << d)
             sign = 1 - 2 * (popcount[mask[j] & ((1 << i) - 1)] % 2)
             self.faces[j, 2 * i] = np.searchsorted(self.closure, upper)
@@ -210,21 +237,20 @@ class PairComplex:
             self.signs[j, 2 * i] = sign
             self.signs[j, 2 * i + 1] = -sign
 
-        keep = (self._in_p1[self.cofaces].any(axis=1)
-                & ~in_p0[self.cofaces].any(axis=1))
-        self.rows = np.flatnonzero(keep)
+        # kept: a coface in the region (state 1) and none in P0 (state 2)
+        self.rows = np.flatnonzero(seen == 1)
         self.position = np.full(n + 1, -1, dtype=np.int64)
         self.position[self.rows] = np.arange(self.rows.size)
         self.dims = popcount[mask[self.rows]]
-        qfaces = self.qfaces(slice(None))
+        self.qfaces = self.position.take(self.faces.take(self.rows, axis=0))
         # a cell is face slot s of at most one cell, so the scatter is exact
-        self.qcof = np.full(qfaces.shape, -1, dtype=np.int32)
+        self.qcof = np.full(self.qfaces.shape, -1, dtype=np.int32)
         for slot in range(2 * d):
-            j = np.flatnonzero(qfaces[:, slot] >= 0)
-            self.qcof[qfaces[j, slot], slot] = j
+            j = np.flatnonzero(self.qfaces[:, slot] >= 0)
+            self.qcof[self.qfaces[j, slot], slot] = j
         # quotient faces and signs as flat Python lists, since boundary()
         # reads one cell at a time
-        self._quotient_faces = (qfaces.ravel().tolist(),
+        self._quotient_faces = (self.qfaces.ravel().tolist(),
                                 self.signs[self.rows].ravel().tolist())
 
     def _decode(self, codes: np.ndarray):
@@ -248,11 +274,6 @@ class PairComplex:
                     and self.position[row] >= 0):
                 out[int(self.position[row])] = v
         return out
-
-    def qfaces(self, positions) -> np.ndarray:
-        """Quotient positions of the faces of the quotient cells at
-        positions, by face slot; -1 for none or outside the quotient."""
-        return self.position[self.faces[self.rows[positions]]]
 
     def boundary(self, j: int) -> dict:
         """del of the quotient cell at position j, within the quotient, as
@@ -285,7 +306,7 @@ class HomologyBasis:
         self.complex = complex
         d = complex.grid.dimension
         bounds = np.searchsorted(complex.dims, np.arange(d + 2))
-        lows = complex.qfaces(slice(None)).max(axis=1).tolist()
+        lows = complex.qfaces.max(axis=1).tolist()
 
         self._R = {}  # columns an elimination changed, dict row -> coeff
         self._pivot_of = pivot_of = {}  # low row -> column with that pivot
@@ -349,7 +370,7 @@ class HomologyBasis:
         # an edge has its upper and lower face in one pair of slots and -1
         # in the others; its lower face shares its anchor, so lower faces
         # run in position order and are the rows of a CSR matrix as they are
-        ends = cx.qfaces(slice(n0, n1))
+        ends = cx.qfaces[n0:n1]
         upper, lower = ends[:, 0], ends[:, 1]
         for i in range(1, cx.grid.dimension):
             upper = np.maximum(upper, ends[:, 2 * i])
@@ -569,30 +590,33 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     vertex_rule "largest" picks the opposite corner in dim 0 (used to
     confirm choice-independence of the induced homology map).
     """
-    cof = complex.cofaces
+    slots = complex.cofaces.T  # one row of coface boxes per slot
     in_p1 = complex._in_p1
     exterior = boxmap.exterior
 
     # guard: a region box adjacent to an exterior box would let chains
     # escape the quotient through the shared face; refuse loudly.
-    qbox = cof[complex.rows]
+    qbox = slots.take(complex.rows, axis=1)
     if ((qbox >= 0) & ~in_p1[qbox] & exterior[qbox]).any():
         raise BoxdynError("index pair touches exterior boxes; enlarge the "
                           "domain or refine the grid")
 
     # construction carriers: intersection of the P1 cofaces' target
-    # ranges, slot by slot; a slot without a P1 coface repeats the
-    # cell's first one, which leaves the max and min unchanged
-    used = in_p1[cof]
-    first = cof[np.arange(cof.shape[0]), used.argmax(axis=1)]
-    filled = np.where(used, cof, first[:, None])
-    lo, hi = boxmap.jmin[first], boxmap.jmax[first]
-    for k in range(1, cof.shape[1]):
-        lo = np.maximum(lo, boxmap.jmin[filled[:, k]])
-        hi = np.minimum(hi, boxmap.jmax[filled[:, k]])
-    # an exterior coface has no targets
-    empty = (~used.any(axis=1) | (lo > hi).any(axis=1)
-             | exterior[filled].any(axis=1))
+    # ranges, slot by slot.  first is the P1 coface in the lowest slot; a
+    # slot without a P1 coface reads it instead, which leaves the max and
+    # min unchanged, so slot 0, which is first or reads it, is skipped.
+    used = in_p1[slots]
+    first = slots[0]
+    for col, u in zip(slots[::-1], used[::-1]):
+        first = np.where(u, col, first)
+    lo, hi = boxmap.jmin.take(first, axis=0), boxmap.jmax.take(first, axis=0)
+    outside = exterior[first]  # an exterior coface has no targets
+    for col, u in zip(slots[1:], used[1:]):
+        filled = np.where(u, col, first)
+        np.maximum(lo, boxmap.jmin.take(filled, axis=0), out=lo)
+        np.minimum(hi, boxmap.jmax.take(filled, axis=0), out=hi)
+        outside |= exterior[filled]
+    empty = ~used.any(axis=0) | (lo > hi).any(axis=1) | outside
     if empty.any():
         raise CarrierNotAcyclic(complex.cell(complex.closure[np.argmax(empty)]),
                                 "carrier is empty")

@@ -157,11 +157,17 @@ class TestConfigValidation:
         {"domain": [[-2.0], [2.0]]},
         {"out": 5},
         None,
+        {"prime": 7.9},
+        {"rho": True},
+        {"depths": [True]},
     ], ids=["rho-text", "prime-text", "domain-bound-text", "domain-list",
-            "out-number", "top-level-array"])
+            "out-number", "top-level-array", "prime-fraction", "rho-bool",
+            "depths-bool"])
     def test_ill_typed_value_exit_code(self, tmp_path, capsys, over):
         """A JSON value of the wrong type is a configuration error (exit
-        2), not a traceback."""
+        2), not a traceback, and is never converted: a fractional prime
+        is not truncated, and true is neither a rho of 1.0 nor a depth
+        of 1."""
         p = tmp_path / "c.json"
         if over is None:
             p.write_text(json.dumps([1, 2]))
@@ -191,6 +197,24 @@ class TestAnalyzeCommand:
         rss = manifest["peak_rss_mb"]
         assert list(rss) == ["boxmap", "morse_graph", "conley"]
         assert 0 < rss["boxmap"] <= rss["morse_graph"] <= rss["conley"]
+        # one record per node, its sizes those of the node's index pair
+        from boxdyn import (CubicalGrid, PhaseSpace, PiecewiseExample1D,
+                            build_boxmap, condensation, index_pair, morse_graph)
+        bm = build_boxmap(CubicalGrid(PhaseSpace([-2.0], [2.0]), [6]),
+                          PiecewiseExample1D(1.5), 1e-3)
+        cond = condensation(bm)
+        mg = morse_graph(cond)
+        nodes = manifest["nodes"]
+        assert [nd["id"] for nd in nodes] == list(range(len(mg.nodes)))
+        for nd, cid, region in zip(nodes, mg.component_ids, mg.regions):
+            pair = index_pair(cond, cid)
+            assert set(nd) == {"id", "region_boxes", "p1_boxes", "p0_boxes",
+                               "conley_s"}
+            assert nd["region_boxes"] == region.size
+            assert (nd["p1_boxes"], nd["p0_boxes"]) == (pair.p1.size,
+                                                        pair.p0.size)
+            assert nd["conley_s"] > 0
+        assert sum(nd["conley_s"] for nd in nodes) <= manifest["timings"]["conley_s"]
         dot = (out / "morse_graph.dot").read_text()
         assert "digraph" in dot and "x - 1" in dot
 

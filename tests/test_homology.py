@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,64 @@ class TestCells:
                        for bd in map(cx.boundary, range(len(cx)))]
                 assert got == boundary_chains(cx)
 
+    def test_closure_cofaces_and_quotient_match_reference(self):
+        """Against scalar references on random pairs in dimensions 1-3:
+        the closure is every face of a region box; coface slot k holds
+        the box at anchor - bits(k) where cell_coface_boxes has it, else
+        -1; the quotient keeps a cell iff it has a coface in P1 \\ P0 and
+        none in P0; qfaces holds the positions of its faces and qcof is
+        its transpose.  The pairs include region boxes on the grid's
+        boundary and P0 boxes next to the region."""
+        rng = np.random.default_rng(12)
+        on_boundary = beside_p0 = 0
+        for depths in ([3], [2, 2], [1, 2, 1]):
+            d = len(depths)
+            g = CubicalGrid(PhaseSpace([0.0] * d, [1.0] * d), depths)
+            for _ in range(10):
+                p1 = rng.choice(g.box_count, size=rng.integers(1, g.box_count + 1),
+                                replace=False)
+                p0 = {int(b) for b in p1 if rng.random() < 0.4}
+                region = {int(b) for b in p1} - p0
+                cx = PairComplex(g, p1, p0)
+                faces = set()
+                for b in region:
+                    j = g.multi_index(b)
+                    on_boundary += any(v in (0, s - 1) for v, s in zip(j, g.shape))
+                    for o, m in itertools.product(range(1 << d), repeat=2):
+                        if not o & m:
+                            faces.add((tuple(v + (o >> i & 1)
+                                             for i, v in enumerate(j)), m))
+                # sorted by dimension, then anchor, then mask
+                assert [decode(cx, c) for c in cx.closure] == sorted(
+                    faces, key=lambda c: (bin(c[1]).count("1"), c[0], c[1]))
+
+                kept = []
+                for row, code in enumerate(cx.closure):
+                    anchor, mask = decode(cx, code)
+                    boxes = {g.linearize(b)
+                             for b in cell_coface_boxes((anchor, mask), g.shape)}
+                    want = []
+                    for k in range(1 << d):
+                        b = tuple(a - (k >> i & 1) for i, a in enumerate(anchor))
+                        box = (g.linearize(b) if not mask & k and all(
+                            0 <= v < s for v, s in zip(b, g.shape)) else -1)
+                        want.append(box)
+                    assert cx.cofaces[row].tolist() == want
+                    assert set(want) - {-1} == boxes
+                    beside_p0 += bool(boxes & region) and bool(boxes & p0)
+                    if boxes & region and not boxes & p0:
+                        kept.append(row)
+                assert cx.rows.tolist() == kept
+
+                qfaces = cx.position[cx.faces[cx.rows]]
+                assert np.array_equal(cx.qfaces, qfaces)
+                qcof = np.full(qfaces.shape, -1)
+                for j, s in zip(*np.nonzero(qfaces >= 0)):
+                    assert qcof[qfaces[j, s], s] == -1
+                    qcof[qfaces[j, s], s] = j
+                assert np.array_equal(cx.qcof, qcof)
+        assert on_boundary and beside_p0
+
 
 class TestElimination:
     def test_solve_is_none_exactly_when_inconsistent(self, rng):
@@ -147,10 +207,11 @@ class TestPairComplex:
         cx = PairComplex(g, set(), set())
         assert HomologyBasis(cx).betti_numbers(2) == [0, 0, 0]
 
-    @pytest.mark.parametrize("prime", [1, 6, 65537])
+    @pytest.mark.parametrize("prime", [1, 6, 65537, 7.9, True])
     def test_prime_rule(self, prime):
         """The field order is a prime below 2^16, so that the int64 sums
-        of the index matrix cannot overflow."""
+        of the index matrix cannot overflow, given as an integer: 7.9 is
+        not truncated to 7, nor True read as 1."""
         with pytest.raises(BoxdynError, match="prime below 2\\^16"):
             PairComplex(grid2d(), [0], set(), prime=prime)
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__, oracles
-from .compare import check_epimorphism, project
+from .compare import project
 from .conley import conley_index
 from .errors import (BoxdynError, ConfigError, DimensionMismatch,
                      EmptyDataset, ParseError)
@@ -230,7 +230,7 @@ def load_trajectory_data(path, lipschitz: float) -> LipschitzDataOracle:
     return LipschitzDataOracle(arr[:, :d], arr[:, d:], lipschitz)
 
 
-def build_oracle(cfg: AnalysisConfig, space: PhaseSpace):
+def build_oracle(cfg: AnalysisConfig):
     """The oracle of cfg's spec; a missing field, a bad value or an
     unreadable file is a ConfigError."""
     spec = cfg.oracle
@@ -240,9 +240,9 @@ def build_oracle(cfg: AnalysisConfig, space: PhaseSpace):
             theta = tuple(spec.get("theta", [23.5, 23.5]))
             if len(theta) != 2:
                 raise ConfigError(f"leslie theta needs two values, got {theta}")
-            return LeslieOracle(theta, domain=space)
+            return LeslieOracle(theta)
         if kind == "piecewise1d":
-            return PiecewiseExample1D(float(spec["theta"]), domain=space)
+            return PiecewiseExample1D(float(spec["theta"]))
         if kind == "mlp":
             return load_mlp_weights(spec["weights"])
         if kind == "data":
@@ -275,11 +275,13 @@ def _load_boxmap(path, grid: CubicalGrid) -> BoxMap:
     return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=exterior)
 
 
-def _cached_boxmap(cfg: AnalysisConfig, grid: CubicalGrid, oracle) -> BoxMap:
-    """The box map of cfg, read from the cache when it holds a valid one;
-    otherwise built from the oracle and, with caching on, (re)written."""
+def _cached_boxmap(cfg: AnalysisConfig, key: str, grid: CubicalGrid,
+                   oracle) -> BoxMap:
+    """The box map of cfg, read from the cache file named by key (cfg's
+    cache_key) when it holds a valid one; otherwise built from the
+    oracle and, with caching on, (re)written."""
     out = Path(cfg.out)
-    cache = out / f"boxmap_{cfg.cache_key()}.npz"
+    cache = out / f"boxmap_{key}.npz"
     if cfg.cache and cache.exists():
         try:
             return _load_boxmap(cache, grid)
@@ -305,15 +307,15 @@ def run_analysis(cfg: AnalysisConfig):
     timings = {}
     peak_rss_mb = {}
     t0 = time.perf_counter()
-    space = PhaseSpace(cfg.lower, cfg.upper)
-    grid = CubicalGrid(space, cfg.depths)
-    oracle = build_oracle(cfg, space)
+    grid = CubicalGrid(PhaseSpace(cfg.lower, cfg.upper), cfg.depths)
+    oracle = build_oracle(cfg)
     if oracle.dimension != grid.dimension:
         raise ConfigError(
             f"oracle dimension {oracle.dimension} != domain dimension "
             f"{grid.dimension}"
         )
-    boxmap = _cached_boxmap(cfg, grid, oracle)
+    key = cfg.cache_key()
+    boxmap = _cached_boxmap(cfg, key, grid, oracle)
     timings["boxmap_s"] = time.perf_counter() - t0
     peak_rss_mb["boxmap"] = _peak_rss_mb()
 
@@ -342,7 +344,7 @@ def run_analysis(cfg: AnalysisConfig):
 
     manifest = {
         "config": cfg.to_jsonable(),
-        "cache_key": cfg.cache_key(),
+        "cache_key": key,
         "enclosure_semantics": oracles.ENCLOSURE_SEMANTICS,
         "oracle_lipschitz_bound": float(oracle.lipschitz_upper_bound()),
         "n_boxes": grid.box_count,
@@ -404,7 +406,7 @@ def cmd_compare(cfg_fine: AnalysisConfig, cfg_coarse: AnalysisConfig, out=None):
     coarse, man_c = run_analysis(cfg_coarse)
     nu = project(fine, coarse)
     report = nu.to_jsonable()
-    report["epimorphism_check"] = check_epimorphism(nu, fine, coarse)
+    report["epimorphism_check"] = nu.facts
     report["fine_manifest"] = man_f
     report["coarse_manifest"] = man_c
     out = Path(out or cfg_fine.out)

@@ -42,16 +42,18 @@ def coarsen_boxes(fine: MorseGraph, coarse: MorseGraph, boxes) -> np.ndarray:
 
 
 class NuMap:
-    """Assignment fine node -> coarse node with verification flags."""
+    """Assignment fine node -> coarse node with the findings of
+    check_epimorphism on it (facts) and flags read from them."""
 
-    def __init__(self, assignment, straddles, well_defined, surjective,
-                 order_preserving, counterexamples):
+    def __init__(self, assignment, straddles, fine: MorseGraph,
+                 coarse: MorseGraph):
         self.assignment = dict(assignment)
         self.straddles = list(straddles)  # RegionStraddlesTiles instances
-        self.well_defined = bool(well_defined)
-        self.surjective = bool(surjective)
-        self.order_preserving = bool(order_preserving)
-        self.counterexamples = list(counterexamples)
+        self.facts = check_epimorphism(self, fine, coarse)
+        self.well_defined = self.facts["total"]
+        self.surjective = self.facts["surjective"]
+        self.order_preserving = self.facts["order_preserving"]
+        self.counterexamples = self.facts["order_violations"]
 
     def to_jsonable(self) -> dict:
         return {
@@ -102,25 +104,12 @@ def project(fine: MorseGraph, coarse: MorseGraph) -> NuMap:
                 candidates = [m for m in coarse.nodes if tiles[m][cboxes].any()]
             straddles.append(RegionStraddlesTiles(q, candidates))
 
-    well_defined = not straddles and len(assignment) == len(fine.nodes)
-    hit = set(assignment.values())
-    surjective = well_defined and hit == set(coarse.nodes)
-    counterexamples = []
-    order_preserving = well_defined
-    if well_defined:
-        for a, b in fine.order:  # a < b
-            if not coarse.leq(assignment[a], assignment[b]):
-                order_preserving = False
-                counterexamples.append(
-                    {"fine_pair": [a, b],
-                     "coarse_pair": [assignment[a], assignment[b]]}
-                )
-    return NuMap(assignment, straddles, well_defined, surjective,
-                 order_preserving, counterexamples)
+    return NuMap(assignment, straddles, fine, coarse)
 
 
 def check_epimorphism(nu: NuMap, fine: MorseGraph, coarse: MorseGraph) -> dict:
-    """Independent verification that nu is a poset epimorphism."""
+    """Whether nu is a poset epimorphism: total on the fine nodes, onto
+    the coarse nodes, and inverting no assigned pair of the fine order."""
     missing = [q for q in fine.nodes if q not in nu.assignment]
     unhit = sorted(set(coarse.nodes) - set(nu.assignment.values()))
     violations = []

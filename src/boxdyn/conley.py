@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BoxdynError
 from .graph_dynamics import Condensation, index_pair
 from .homology import (HomologyBasis, PairComplex, _inv_mod, chain_map,
-                       induced_homology_map)
+                       check_prime, induced_homology_map)
 from .outer_approx import BoxMap
 
 # polynomials over F_p are tuples of coefficients, ascending powers,
@@ -213,7 +213,7 @@ class ConleyIndex:
     @classmethod
     def from_jsonable(cls, doc: dict) -> "ConleyIndex":
         ci = cls(  # stored polys and labels must agree with the factors
-            prime=int(doc["prime"]),
+            prime=check_prime(doc["prime"]),
             invariant_factors=tuple(
                 tuple(tuple(f) for f in fs) for fs in doc["invariant_factors"]
             ),

@@ -366,7 +366,9 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
 
     Downsets are not stored, so the rebuilt graph has none and
     downset_of raises (the JSON document is a record of nodes, order,
-    and regions).
+    and regions).  BoxdynError if node ids are not their positions
+    0..m-1, a region box is off the grid, or an order pair does not name
+    two distinct nodes.
     """
     # conley imports this module, so the import cannot be at the top
     from .conley import ConleyIndex
@@ -374,10 +376,20 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     g = doc["grid"]
     grid = CubicalGrid(PhaseSpace(g["lower"], g["upper"]), g["subdivisions"])
     nodes = doc["nodes"]
+    ids = [nd["id"] for nd in nodes]
+    if ids != list(range(len(nodes))):
+        raise BoxdynError(f"Morse graph record: node ids {ids} are not "
+                          f"0..{len(nodes) - 1} in order")
+    for p in doc["order"]:
+        if (len(p) != 2 or p[0] == p[1]
+                or not all(isinstance(v, int) and 0 <= v < len(nodes)
+                           for v in p)):
+            raise BoxdynError(f"Morse graph record: order pair {p} does not "
+                              f"name two distinct nodes of {len(nodes)}")
     mg = MorseGraph(
         grid,
         [nd["component"] for nd in nodes],
-        [np.asarray(nd["region"], dtype=np.int64) for nd in nodes],
+        [grid.box_indices(nd["region"]) for nd in nodes],
         None,
         [tuple(p) for p in doc["order"]],
     )

@@ -18,8 +18,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DimensionMismatch, PointOutsideDomain
-from .grid import CubicalGrid, PhaseSpace, Rect
+from .errors import DimensionMismatch
+from .grid import CubicalGrid, Rect
 
 #: Tag of the enclosure formulas, hashed into the box-map cache key.
 #: Change it whenever an enclosure changes.  "v1": every bound is
@@ -33,9 +33,6 @@ _SLAB_BOXES = 1 << 16
 
 class MapOracle(ABC):
     """Evaluable map with rectangle image enclosures and a Lipschitz bound."""
-
-    #: optional phase space; when set, eval() rejects points outside it
-    domain: PhaseSpace | None = None
 
     @property
     @abstractmethod
@@ -54,8 +51,6 @@ class MapOracle(ABC):
             raise DimensionMismatch(
                 f"point has dimension {x.size}, oracle expects {self.dimension}"
             )
-        if self.domain is not None and not self.domain.contains(x):
-            raise PointOutsideDomain(f"point {x} outside {self.domain}")
         return self.eval_batch(x[None])[0]
 
     def enclosures(self, faces) -> tuple[np.ndarray, np.ndarray]:
@@ -135,11 +130,10 @@ class LeslieOracle(MapOracle):
 
     LIPSCHITZ_BOUND = 34.0
 
-    def __init__(self, theta=(23.5, 23.5), domain: PhaseSpace | None = None):
+    def __init__(self, theta=(23.5, 23.5)):
         self.theta = (float(theta[0]), float(theta[1]))
         if not all(map(math.isfinite, self.theta)):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        self.domain = domain
 
     @property
     def dimension(self) -> int:
@@ -197,11 +191,10 @@ class PiecewiseExample1D(MapOracle):
     the Lipschitz constant is 2 (the middle branch).
     """
 
-    def __init__(self, theta: float, domain: PhaseSpace | None = None):
+    def __init__(self, theta: float):
         if not 0 <= theta < math.inf:
             raise ValueError("theta must be finite and nonnegative")
         self.theta = float(theta)
-        self.domain = domain
 
     @property
     def dimension(self) -> int:
@@ -230,7 +223,7 @@ class MlpOracle(MapOracle):
     network.
     """
 
-    def __init__(self, layers, domain: PhaseSpace | None = None):
+    def __init__(self, layers):
         self.layers = []
         prev = None
         for k, (w, b) in enumerate(layers):
@@ -252,7 +245,6 @@ class MlpOracle(MapOracle):
             raise DimensionMismatch("network needs at least one layer")
         if self.layers[-1][0].shape[0] != self.layers[0][0].shape[1]:
             raise DimensionMismatch("network must map R^d to R^d")
-        self.domain = domain
 
     @property
     def dimension(self) -> int:
@@ -326,12 +318,10 @@ class LipschitzDataOracle(MapOracle):
 class CallableOracle(MapOracle):
     """Wrap an arbitrary function with a user-supplied Lipschitz bound."""
 
-    def __init__(self, func, lipschitz: float, dimension: int,
-                 domain: PhaseSpace | None = None):
+    def __init__(self, func, lipschitz: float, dimension: int):
         self._func = func
         self._lip = float(lipschitz)
         self._dim = int(dimension)
-        self.domain = domain
 
     @property
     def dimension(self) -> int:

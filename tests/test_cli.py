@@ -312,6 +312,24 @@ class TestAnalyzeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["enclosure_semantics"] == "changed"
 
+    def test_cache_key_computed_once_per_run(self, tmp_path, monkeypatch):
+        """The key hashes the whole weights or samples file, so one
+        analyze computes it once, for the cache file and the manifest."""
+        calls = []
+        key = AnalysisConfig.cache_key
+
+        def counted(cfg):
+            calls.append(cfg)
+            return key(cfg)
+
+        monkeypatch.setattr(AnalysisConfig, "cache_key", counted)
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert list((tmp_path / "out").glob("boxmap_*.npz")) == [
+            tmp_path / "out" / f"boxmap_{manifest['cache_key']}.npz"]
+
     def test_cache_follows_oracle_file_contents(self, tmp_path):
         """Rewriting the weights file must not reuse the old box map."""
         weights = tmp_path / "w.txt"

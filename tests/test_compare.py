@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,7 @@ class TestProject:
         a, b = sorted(fine.order)[0]  # a < b in the fine graph
         swap = {q: q for q in fine.nodes}
         swap[a], swap[b] = b, a
-        bad = NuMap(swap, [], True, True, True, [])
+        bad = NuMap(swap, [], fine, fine)
         rep = check_epimorphism(bad, fine, fine)
         assert not rep["order_preserving"]
         assert {"fine_pair": [a, b], "coarse_pair": [b, a]} in rep["order_violations"]
@@ -147,6 +149,30 @@ class TestProject:
         assert not nu.well_defined
         assert nu.straddles and nu.straddles[0].node == 0
         assert len(nu.straddles[0].candidates) >= 2
+
+    def test_straddle_flags_are_the_checks_findings(self, tmp_path,
+                                                     monkeypatch):
+        """On a partial nu the flags and the report's epimorphism_check
+        both are check_epimorphism's findings, so they cannot disagree."""
+        from boxdyn import cli
+        coarse = piecewise_graph(10)
+        assert len(coarse.nodes) >= 2
+        blob = np.concatenate([coarse.region_of(0), coarse.region_of(1)])
+        fake_fine = MorseGraph(coarse.grid, [0], [blob], [blob], [])
+        nu = project(fake_fine, coarse)
+        facts = check_epimorphism(nu, fake_fine, coarse)
+        doc = nu.to_jsonable()
+        assert nu.straddles and not facts["total"]
+        assert ([doc[k] for k in ("well_defined", "surjective",
+                                  "order_preserving", "counterexamples")]
+                == [facts[k] for k in ("total", "surjective",
+                                       "order_preserving", "order_violations")])
+
+        graphs = iter([(fake_fine, {}), (coarse, {})])
+        monkeypatch.setattr(cli, "run_analysis", lambda cfg: next(graphs))
+        nu = cli.cmd_compare(None, None, out=tmp_path)
+        report = json.loads((tmp_path / "nu_report.json").read_text())
+        assert report["epimorphism_check"] == nu.facts == facts
 
     def test_reloaded_coarse_graph_has_no_tiles(self):
         """A graph rebuilt from JSON has no downsets, so projecting onto

@@ -262,10 +262,12 @@ class TestConleyIndexObject:
         assert back.labels() == ci.labels()
 
     @pytest.mark.parametrize("key, value", [("labels", ["x + 1", "0"]),
-                                            ("polys", [[1, 1], None])])
+                                            ("polys", [[1, 1], None]),
+                                            ("prime", 7.9), ("prime", 6)])
     def test_record_contradicting_its_factors_refused(self, key, value):
         """The stored factor is x - 1 at p = 5; a label or polynomial
-        edited to x + 1 contradicts it."""
+        edited to x + 1 contradicts it, and a prime edited to a fraction
+        or a composite is not a field order."""
         doc = self._sample().to_jsonable()
         assert doc["invariant_factors"] == [[[4, 1]], []]
         doc[key] = value

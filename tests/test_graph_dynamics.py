@@ -443,3 +443,18 @@ class TestMorseGraph:
         assert all(
             np.array_equal(a, b) for a, b in zip(back.regions, mg.regions)
         )
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["order"].append([0, 9]), "order pair"),
+        (lambda doc: doc["nodes"][0]["region"].append(10 ** 6), "outside"),
+        (lambda doc: doc["nodes"][1].update(id=0), "node ids"),
+    ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id"])
+    def test_inconsistent_record_refused(self, edit, match):
+        """A reloaded record whose order, regions or ids do not fit its
+        nodes and grid is refused, not drawn or projected."""
+        bm = digraph_boxmap(5, [(i, i) for i in range(5)], depth=6)
+        doc = json.loads(morse_graph(condensation(bm)).to_json())
+        assert len(doc["nodes"]) == 5 and bm.grid.box_count == 64
+        edit(doc)
+        with pytest.raises(BoxdynError, match=match):
+            morse_graph_from_jsonable(doc)

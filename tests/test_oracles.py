@@ -12,6 +12,7 @@ from boxdyn import (
     PhaseSpace,
     PiecewiseExample1D,
     Rect,
+    oracles,
 )
 
 from conftest import box_rect, half_diameter
@@ -244,15 +245,34 @@ class TestImageRectGeneric:
         (_data, LESLIE_SPACE, [4, 5]),
     ], ids=["leslie-equal", "leslie-unequal", "piecewise", "mlp", "callable",
             "data"])
-    def test_image_rect_is_row_of_image_rects(self, make, space, depths):
+    def test_image_rect_is_row_of_image_rects(self, make, space, depths,
+                                              monkeypatch):
+        """Every slab size gives the same rows: the default (one slab on
+        these grids), and one and three first-axis layers per slab,
+        which split every grid here into two slabs or more."""
         o = make(np.random.default_rng(5))
         grid = CubicalGrid(space, depths)
-        lo, hi = o.image_rects(grid)
-        assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
-        for k in range(grid.box_count):
-            r = o.image_rect(box_rect(grid, grid.multi_index(k)))
-            assert np.array_equal(r.lower, lo[k])
-            assert np.array_equal(r.upper, hi[k])
+        rects = [o.image_rect(box_rect(grid, grid.multi_index(k)))
+                 for k in range(grid.box_count)]
+        layer = grid.box_count // grid.shape[0]
+        calls = []
+        enclosures = o.enclosures
+        monkeypatch.setattr(o, "enclosures",
+                            lambda faces: calls.append(faces) or enclosures(faces))
+        for layers_per_slab in (None, 1, 3):
+            slabs = 1
+            if layers_per_slab is not None:
+                monkeypatch.setattr(oracles, "_SLAB_BOXES",
+                                    layers_per_slab * layer)
+                slabs = -(-grid.shape[0] // layers_per_slab)
+                assert slabs >= 2
+            calls.clear()
+            lo, hi = o.image_rects(grid)
+            assert len(calls) == slabs
+            assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
+            for k, r in enumerate(rects):
+                assert np.array_equal(r.lower, lo[k])
+                assert np.array_equal(r.upper, hi[k])
 
     def test_degenerate_box_has_zero_padding(self):
         o = LeslieOracle((23.5, 23.5))

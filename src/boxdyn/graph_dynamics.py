@@ -367,8 +367,10 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     Downsets are not stored, so the rebuilt graph has none and
     downset_of raises (the JSON document is a record of nodes, order,
     and regions).  BoxdynError if node ids are not their positions
-    0..m-1, a region box is off the grid, or an order pair does not name
-    two distinct nodes.
+    0..m-1, a region box is off the grid or in the regions of two nodes,
+    an order pair does not name two distinct nodes, or the order is not
+    the full reachability order morse_graph writes: antisymmetric and
+    transitively closed, which hasse_edges assumes.
     """
     # conley imports this module, so the import cannot be at the top
     from .conley import ConleyIndex
@@ -386,10 +388,29 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
                            for v in p)):
             raise BoxdynError(f"Morse graph record: order pair {p} does not "
                               f"name two distinct nodes of {len(nodes)}")
+    above = {}  # node -> the nodes above it
+    for a, b in doc["order"]:
+        above.setdefault(a, set()).add(b)
+    for a, b in sorted(map(tuple, doc["order"])):
+        if a in above.get(b, ()):
+            raise BoxdynError(f"Morse graph record: order holds both ({a}, {b}) "
+                              f"and ({b}, {a})")
+        missing = above.get(b, set()) - above[a]
+        if missing:
+            c = min(missing)
+            raise BoxdynError(f"Morse graph record: order holds ({a}, {b}) and "
+                              f"({b}, {c}) but not ({a}, {c})")
+    regions = [grid.box_indices(nd["region"]) for nd in nodes]
+    boxes = np.sort(np.concatenate([np.unique(r) for r in regions]
+                                   + [np.zeros(0, dtype=np.int64)]))
+    shared = boxes[1:][boxes[1:] == boxes[:-1]]
+    if shared.size:
+        raise BoxdynError(f"Morse graph record: box {shared[0]} lies in the "
+                          "regions of two nodes")
     mg = MorseGraph(
         grid,
         [nd["component"] for nd in nodes],
-        [grid.box_indices(nd["region"]) for nd in nodes],
+        regions,
         None,
         [tuple(p) for p in doc["order"]],
     )

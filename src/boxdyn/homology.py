@@ -16,11 +16,12 @@ plus a constant per (o, m), so the closure is one broadcast add, one
 sort and one dedupe.  Coface slot k of a cell is the box at its anchor,
 found from the per-axis anchors, less bits(k) times the box strides;
 the cell stays in the quotient by an OR of one gather per slot.  The
-quotient faces are built once and stored, and the reduction and the
-cocycles read them.  A quotient cell is its position 0..n-1 in closure
-order, which is the reduction order: chains and cochains over the
-quotient are dicts position -> coefficient, and chains in the full
-complex, where the chain map is built, dicts code -> coefficient.
+quotient faces and their signs are built once as arrays, and a cell's
+boundary is read from its row when it is needed.  A quotient cell is
+its position 0..n-1 in closure order, which is the reduction order:
+chains and cochains over the quotient are dicts position ->
+coefficient, and chains in the full complex, where the chain map is
+built, dicts code -> coefficient.
 
 Homology comes from a column reduction R = D V that runs from the top
 dimension down with clearing (Chen and Kerber, Persistent homology
@@ -28,11 +29,19 @@ computation with a twist, 2011): a column whose index is the pivot row
 of a column one dimension up is a cycle, so it is set to zero without
 being reduced.  Columns reduce only against columns of their own
 dimension, so every other column, the essential cells and the
-representatives are those of a plain left-to-right reduction.  Columns
-are lazy, as in PHAT (Bauer, Kerber, Reininghaus and Wagner, 2014): the
-low (highest quotient face) of every column comes from one numpy pass,
-a column whose low is not yet a pivot takes it as it stands, and a
-column becomes a dict only when an elimination reads or changes it.
+representatives are those of a plain left-to-right reduction.  Each
+dimension starts with one numpy claim pass, as in the chunks of Bauer,
+Kerber and Reininghaus (Clear and compress: computing persistent
+homology in chunks, 2014): the lows (highest quotient faces) of the
+columns not cleared come from one max over the quotient faces, the
+first column with each low takes it as it stands, and a column with no
+low is essential.  Only the columns that collide run in Python.  They
+are eliminated in increasing order from a min-heap, each against the
+pivots of columns left of it, and, as in PHAT (Bauer, Kerber,
+Reininghaus and Wagner, 2014), a column becomes a dict only when an
+elimination reads or changes it.  A column whose reduction ends on a
+row that a later column took as it stood takes that row, and the later
+column is eliminated in its turn, as the left-to-right loop would do.
 Each elimination takes the next highest key of its chain from a
 max-heap.
 
@@ -157,7 +166,8 @@ class PairComplex:
     quotient positions of the faces, position[faces[rows[j]]], -1 for
     none or outside the quotient, and qcof[j, s] is the quotient coface
     whose face slot s holds the quotient cell j, -1 for none: the
-    transpose of qfaces.
+    transpose of qfaces.  qsigns[j] = signs[rows[j]] are the faces'
+    signs, and boundary(j) reads row j of qfaces and qsigns.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
@@ -248,10 +258,7 @@ class PairComplex:
         for slot in range(2 * d):
             j = np.flatnonzero(self.qfaces[:, slot] >= 0)
             self.qcof[self.qfaces[j, slot], slot] = j
-        # quotient faces and signs as flat Python lists, since boundary()
-        # reads one cell at a time
-        self._quotient_faces = (self.qfaces.ravel().tolist(),
-                                self.signs[self.rows].ravel().tolist())
+        self.qsigns = self.signs.take(self.rows, axis=0)
 
     def _decode(self, codes: np.ndarray):
         """(anchors (n, d), masks (n,)) of an array of codes."""
@@ -278,10 +285,8 @@ class PairComplex:
     def boundary(self, j: int) -> dict:
         """del of the quotient cell at position j, within the quotient, as
         a dict position -> sign."""
-        w = 2 * self.grid.dimension
-        faces, signs = self._quotient_faces
-        return {f: s for f, s in zip(faces[j * w:(j + 1) * w],
-                                     signs[j * w:(j + 1) * w]) if f >= 0}
+        return {f: s for f, s in zip(self.qfaces[j].tolist(),
+                                     self.qsigns[j].tolist()) if f >= 0}
 
     def __len__(self):
         return self.rows.size
@@ -293,48 +298,70 @@ class PairComplex:
 class HomologyBasis:
     """Homology of a PairComplex via sparse column reduction over F_p.
 
-    Columns are in position order (R = D V), reduced lazily and with
-    clearing as the module docstring describes.  A column with zero
-    reduced boundary whose own index is never a pivot is an essential
-    cell; its V column is a representative cycle, and the only V column
-    kept once its dimension is reduced.  cocycles(dim) gives the dual
-    cocycles, and project a relative cycle's coordinates by pairing with
-    them.
+    Columns are in position order (R = D V), claimed in one numpy pass
+    per dimension and reduced lazily and with clearing, as the module
+    docstring describes.  _pivot[r] is the column whose reduced low is
+    row r, -1 for none; _R holds the columns an elimination changed.  A
+    column with zero reduced boundary whose own index is never a pivot
+    is an essential cell; its V column is a representative cycle, and
+    the only V column kept once its dimension is reduced.
+    cocycles(dim) gives the dual cocycles, and project a relative
+    cycle's coordinates by pairing with them.
     """
 
     def __init__(self, complex: PairComplex):
         self.complex = complex
         d = complex.grid.dimension
         bounds = np.searchsorted(complex.dims, np.arange(d + 2))
-        lows = complex.qfaces.max(axis=1).tolist()
+        lows = complex.qfaces.max(axis=1)
 
         self._R = {}  # columns an elimination changed, dict row -> coeff
-        self._pivot_of = pivot_of = {}  # low row -> column with that pivot
+        # row -> the column whose reduced low it is, -1 for none
+        self._pivot = pivot = np.full(len(complex), -1, dtype=np.int64)
         self._V = {}  # dim -> {essential column: representative cycle}
         self._cocycles = {}  # dim -> dual cocycles, computed on first use
         for dim in reversed(range(d + 1)):
             a, b = int(bounds[dim]), int(bounds[dim + 1])
-            V, essential = {}, {}  # V: the columns other than {j: 1}
+            # cleared columns are pivot rows of the dimension above
+            live = a + np.flatnonzero(pivot[a:b] < 0)
+            low = lows[live]
+            # the first column with each low takes it as it stands: keys
+            # sorted by (low, column) start a new low at each first column.
+            # A plain sort of the keys, not a stable argsort, whose numpy
+            # code adds 0.1 MB of resident pages to a run that has no other
+            m = live.size
+            key = np.sort(low * m + np.arange(m))
+            row, at = key // m, key % m
+            new = np.ones(m, dtype=bool)
+            np.not_equal(row[1:], row[:-1], out=new[1:])
+            first = at[new & (row >= 0)]
+            pivot[low[first]] = live[first]
+            collides = low >= 0
+            collides[first] = False
+            # no column one dimension up has its pivot on an essential row
+            essential = {j: {j: 1} for j in live[low < 0].tolist()}
+            heap = live[collides].tolist()  # increasing, so a min-heap
+            V = {}  # the V columns other than {j: 1}
 
-            def column(low):
-                k = pivot_of.get(low)
-                if k is not None:
+            def column(r):
+                # only a column left of j, the one being eliminated, holds r
+                k = int(pivot[r])
+                if 0 <= k < j:
                     return self._column(k), V.get(k) or {k: 1}
 
-            for j in range(a, b):
-                if j in pivot_of:
-                    continue  # cleared: a pivot row of the dimension above
-                low, vj = lows[j], {j: 1}
-                if low in pivot_of:
-                    rj = complex.boundary(j)
-                    low = _eliminate(rj, vj, column, complex.prime)
-                    if low >= 0:
-                        self._R[j], V[j] = rj, vj
-                if low >= 0:
-                    pivot_of[low] = j
-                else:  # no column one dimension up has its pivot on row j
+            while heap:
+                j = heapq.heappop(heap)
+                rj, vj = complex.boundary(j), {j: 1}
+                r = _eliminate(rj, vj, column, complex.prime)
+                if r < 0:
                     essential[j] = vj
-            self._V[dim] = essential
+                    continue
+                self._R[j], V[j] = rj, vj
+                k = int(pivot[r])
+                if k >= 0:  # k > j took r as it stood, so now it collides
+                    heapq.heappush(heap, k)
+                pivot[r] = j
+            self._V[dim] = dict(sorted(essential.items()))
 
     def _column(self, k: int) -> dict:
         """Reduced column k; one that never changed is built on each read."""
@@ -388,7 +415,7 @@ class HomologyBasis:
         columns one dimension up whose reduced column meets the support;
         popping low l sets beta_l so that zeta_i vanishes on that column.
         Rows added later are above l, so it vanishes there for good."""
-        cx, p, pivot_of = self.complex, self.complex.prime, self._pivot_of
+        cx, p, pivot = self.complex, self.complex.prime, self._pivot
         a, b = np.searchsorted(cx.dims, [dim + 1, dim + 2])
         changed = {}  # row -> changed pivot columns one dimension up
         for c, col in self._R.items():
@@ -407,7 +434,7 @@ class HomologyBasis:
                         queued.add(c)
                         col = self._column(c)
                         low = max(col)
-                        if pivot_of.get(low) == c:
+                        if pivot[low] == c:
                             heapq.heappush(heap, (low, c, col))
 
             meet(i)
@@ -433,7 +460,7 @@ class HomologyBasis:
             cof = cx.qcof[pos]
             r, slot = np.nonzero(cof >= 0)
             c = cof[r, slot]
-            delta = np.bincount(c, weights=val[r] * cx.signs[cx.rows[c], slot])
+            delta = np.bincount(c, weights=val[r] * cx.qsigns[c, slot])
             bad = delta[c].astype(np.int64) % p
             if bad.any():
                 cell = cx.cell(cx.closure[cx.rows[c[np.argmax(bad != 0)]]])

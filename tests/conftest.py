@@ -199,7 +199,7 @@ def eager_reduction(complex):
     """The column reduction with clearing, every column built as a dict
     from boundary_chains and its pivot found by max() over it, top
     dimension first.  Returns (pivot_of, {dim: representatives}): the
-    scalar reference for HomologyBasis._pivot_of and representatives."""
+    scalar reference for HomologyBasis._pivot and representatives."""
     from boxdyn.homology import _axpy
 
     p = complex.prime
@@ -247,8 +247,8 @@ def eliminate_project(basis, chain, dim):
     reps = basis._V.get(dim, {})
 
     def column(low):
-        k = basis._pivot_of.get(low)
-        if k is not None:
+        k = int(basis._pivot[low])
+        if k >= 0:
             # a boundary column: changes nothing in homology
             return basis._column(k), {}
         if low in reps:

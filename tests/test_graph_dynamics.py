@@ -448,7 +448,12 @@ class TestMorseGraph:
         (lambda doc: doc["order"].append([0, 9]), "order pair"),
         (lambda doc: doc["nodes"][0]["region"].append(10 ** 6), "outside"),
         (lambda doc: doc["nodes"][1].update(id=0), "node ids"),
-    ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id"])
+        (lambda doc: doc["order"].extend([[0, 1], [1, 0]]), "both"),
+        (lambda doc: doc["order"].extend([[0, 1], [1, 2]]), "but not"),
+        (lambda doc: doc["nodes"][1]["region"].append(
+            doc["nodes"][0]["region"][0]), "two nodes"),
+    ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id",
+            "order-cycle", "order-not-transitive", "shared-region"])
     def test_inconsistent_record_refused(self, edit, match):
         """A reloaded record whose order, regions or ids do not fit its
         nodes and grid is refused, not drawn or projected."""

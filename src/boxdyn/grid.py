@@ -145,7 +145,7 @@ class CubicalGrid:
         return tuple(idx)
 
     def index_ranges_bulk(self, rect_lo: np.ndarray, rect_hi: np.ndarray,
-                          pad: float = 0.0):
+                          pad: float = 0.0, out=None):
         """Inclusive per-axis index ranges of the boxes meeting each
         rectangle, inflated by pad on every side.
 
@@ -153,25 +153,28 @@ class CubicalGrid:
         rectangle touching a face meets the boxes on both sides.
         Returns (jmin, jmax, nonempty) with jmin/jmax int32 of shape
         (n, d) clamped to the grid and a boolean mask of rectangles that
-        meet X at all.  The pad is applied one axis at a time, so no
+        meet X at all; out = (jmin, jmax, nonempty) fills given arrays
+        instead.  Only the interior faces are searched: jmin counts the
+        interior faces below its key and jmax those at or below its key,
+        so both lie in [0, n - 1] with no clamping, and a rectangle meets
+        X iff its low key is at most the last face and its high key at
+        least the first.  The pad is applied one axis at a time, so no
         padded copy of the inputs is made.
         """
         n, d = rect_lo.shape
-        jmin = np.empty((n, d), dtype=np.int32)
-        jmax = np.empty((n, d), dtype=np.int32)
-        nonempty = np.ones(n, dtype=bool)
+        if out is None:
+            out = (np.empty((n, d), dtype=np.int32),
+                   np.empty((n, d), dtype=np.int32), np.empty(n, dtype=bool))
+        jmin, jmax, nonempty = out
+        nonempty[:] = True
         for i in range(d):
-            last = self.shape[i] - 1
-            raw = np.searchsorted(self.faces[i], rect_lo[:, i] - pad,
-                                  side="left")
-            raw -= 1
-            nonempty &= raw <= last
-            np.clip(raw, 0, last, out=jmin[:, i])
-            raw = np.searchsorted(self.faces[i], rect_hi[:, i] + pad,
-                                  side="right")
-            raw -= 1
-            nonempty &= raw >= 0
-            np.clip(raw, 0, last, out=jmax[:, i])
+            faces = self.faces[i]
+            key = rect_lo[:, i] - pad
+            nonempty &= key <= faces[-1]
+            jmin[:, i] = np.searchsorted(faces[1:-1], key, side="left")
+            key = rect_hi[:, i] + pad
+            nonempty &= key >= faces[0]
+            jmax[:, i] = np.searchsorted(faces[1:-1], key, side="right")
         return jmin, jmax, nonempty
 
     def __eq__(self, other):

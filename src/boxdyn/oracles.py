@@ -5,16 +5,21 @@ product grid in a rectangle guaranteed to contain it, and reports an
 explicit upper bound on the Lipschitz constant of G.  Each of these is
 one method: eval_batch is the only pointwise formula (eval checks one
 point and calls it) and enclosures(faces) the only enclosure formula
-(image_rect and image_rects call it on a one-box grid and on a
-CubicalGrid).  The default enclosure is the hull of the corner images
-padded by L * (half box diameter): every point of the box is within half
-a diameter of some corner, so the padded hull covers the true image.
+(image_rect and image_rects call it on a one-box grid and on slabs of
+whole first-axis layers of a CubicalGrid; build_boxmap asks for one slab
+at a time, so no enclosure of the whole grid is held).  The default
+enclosure is the hull of the corner images padded by L * (half box
+diameter): every point of the box is within half a diameter of some
+corner, so the padded hull covers the true image.  The Leslie map's
+closed form reads each grid vertex once and shares it between the boxes
+that meet it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import reduce
 
 import numpy as np
 
@@ -29,6 +34,16 @@ ENCLOSURE_SEMANTICS = "v1"
 # image_rects asks enclosures for slabs of about this many boxes, whole
 # layers along the first axis, so the temporaries of one call stay small
 _SLAB_BOXES = 1 << 16
+
+
+def _slabs(grid: CubicalGrid):
+    """The slabs of the grid as first-axis layer ranges (a, b), in order:
+    as many whole layers as fit in _SLAB_BOXES boxes, at least one.  A
+    slab's boxes are rows a * layer .. b * layer of the linear order,
+    layer being the number of boxes in one first-axis layer."""
+    step = max(1, _SLAB_BOXES // (grid.box_count // grid.shape[0]))
+    return [(a, min(a + step, grid.shape[0]))
+            for a in range(0, grid.shape[0], step)]
 
 
 class MapOracle(ABC):
@@ -79,24 +94,27 @@ class MapOracle(ABC):
             [np.array([a, b]) for a, b in zip(box.lower, box.upper)])
         return Rect(lo[0], hi[0])
 
-    def image_rects(self, grid: CubicalGrid):
-        """Image enclosures of every grid box; returns (lo, hi), shape (n, d).
+    def image_rects(self, grid: CubicalGrid, layers=None):
+        """Image enclosures of grid boxes; returns (lo, hi), shape (n, d).
 
-        Boxes are ordered by linearized index.  enclosures runs on slabs
-        of whole layers along the first axis, each contiguous in that
-        order: as many layers as fit in _SLAB_BOXES boxes, at least one.
+        Boxes are ordered by linearized index.  With layers = (a, b) the
+        boxes are those of first-axis layers a .. b - 1, in one call to
+        enclosures.  Without, they are every box of the grid, and
+        enclosures runs on each slab of _slabs(grid).
         """
+        if layers is not None:
+            a, b = layers
+            return self.enclosures([grid.faces[0][a:b + 1]]
+                                   + list(grid.faces[1:]))
+        slabs = _slabs(grid)
+        if len(slabs) == 1:  # no copy
+            return self.image_rects(grid, slabs[0])
         layer = grid.box_count // grid.shape[0]
-        step = max(1, _SLAB_BOXES // layer)
-        if step >= grid.shape[0]:  # one slab: no copy
-            return self.enclosures(grid.faces)
         lo = np.empty((grid.box_count, grid.dimension))
         hi = np.empty((grid.box_count, grid.dimension))
-        for a in range(0, grid.shape[0], step):
-            b = min(a + step, grid.shape[0])
+        for a, b in slabs:
             rows = slice(a * layer, b * layer)
-            lo[rows], hi[rows] = self.enclosures([grid.faces[0][a:b + 1]]
-                                                 + list(grid.faces[1:]))
+            lo[rows], hi[rows] = self.image_rects(grid, (a, b))
         return lo, hi
 
 
@@ -148,39 +166,42 @@ class LeslieOracle(MapOracle):
         first = (t1 * p[:, 0] + t2 * p[:, 1]) * np.exp(-0.1 * (p[:, 0] + p[:, 1]))
         return np.column_stack([first, 0.7 * p[:, 0]])
 
-    def _first_coord_range(self, lo, hi):
-        """Exact (theta1 == theta2) or rigorous interval range of the
-        first coordinate over boxes [lo, hi]; lo, hi are (n, 2)."""
+    def enclosures(self, faces):
+        # f1 depends on x1 + x2, so every bound is read from the sums s at
+        # the grid vertices; a box's low corner is vertex [i, j] and its
+        # high corner [i + 1, j + 1]
+        f0, f1 = faces
         t1, t2 = self.theta
-        s_lo = lo[:, 0] + lo[:, 1]
-        s_hi = hi[:, 0] + hi[:, 1]
+        s = f0[:, None] + f1
+        lo = np.empty((f0.size - 1, f1.size - 1, 2))
+        hi = np.empty_like(lo)
         if t1 == t2:
             # f1 = g(s) = t1*s*exp(-0.1*s), unimodal with peak at s = 10
-            g_lo = t1 * s_lo * np.exp(-0.1 * s_lo)
-            g_hi = t1 * s_hi * np.exp(-0.1 * s_hi)
-            f_lo = np.minimum(g_lo, g_hi)
-            f_hi = np.maximum(g_lo, g_hi)
-            peak = (s_lo <= 10.0) & (10.0 <= s_hi)
-            f_hi = np.where(peak, max(t1 * 10.0 * math.exp(-1.0), 0.0), f_hi)
-            f_lo = np.where(peak & (t1 < 0), t1 * 10.0 * math.exp(-1.0), f_lo)
-            return f_lo, f_hi
-        w_lo = (min(t1, 0.0) * hi[:, 0] + max(t1, 0.0) * lo[:, 0]
-                + min(t2, 0.0) * hi[:, 1] + max(t2, 0.0) * lo[:, 1])
-        w_hi = (min(t1, 0.0) * lo[:, 0] + max(t1, 0.0) * hi[:, 0]
-                + min(t2, 0.0) * lo[:, 1] + max(t2, 0.0) * hi[:, 1])
-        e_lo = np.exp(-0.1 * s_hi)
-        e_hi = np.exp(-0.1 * s_lo)
-        prods = np.stack([w_lo * e_lo, w_lo * e_hi, w_hi * e_lo, w_hi * e_hi])
-        return prods.min(axis=0), prods.max(axis=0)
-
-    def enclosures(self, faces):
-        blo = _product([f[:-1] for f in faces])
-        bhi = _product([f[1:] for f in faces])
-        f_lo, f_hi = self._first_coord_range(blo, bhi)
-        return (
-            np.column_stack([f_lo, 0.7 * blo[:, 0]]),
-            np.column_stack([f_hi, 0.7 * bhi[:, 0]]),
-        )
+            g = t1 * s * np.exp(-0.1 * s)
+            np.minimum(g[:-1, :-1], g[1:, 1:], out=lo[..., 0])
+            np.maximum(g[:-1, :-1], g[1:, 1:], out=hi[..., 0])
+            peak = (s[:-1, :-1] <= 10.0) & (10.0 <= s[1:, 1:])
+            top = t1 * 10.0 * math.exp(-1.0)
+            hi[..., 0][peak] = max(top, 0.0)
+            if t1 < 0:
+                lo[..., 0][peak] = top
+        else:
+            # interval product: w = t1*x1 + t2*x2 bounded term by term,
+            # times exp(-0.1*s) between its values at the two corners
+            a1, b1 = min(t1, 0.0), max(t1, 0.0)
+            a2, b2 = min(t2, 0.0), max(t2, 0.0)
+            w_lo = ((a1 * f0[1:] + b1 * f0[:-1])[:, None]
+                    + a2 * f1[1:] + b2 * f1[:-1])
+            w_hi = ((a1 * f0[:-1] + b1 * f0[1:])[:, None]
+                    + a2 * f1[:-1] + b2 * f1[1:])
+            e = np.exp(-0.1 * s)
+            e_lo, e_hi = e[1:, 1:], e[:-1, :-1]
+            prods = (w_lo * e_lo, w_lo * e_hi, w_hi * e_lo, w_hi * e_hi)
+            lo[..., 0] = reduce(np.minimum, prods)
+            hi[..., 0] = reduce(np.maximum, prods)
+        lo[..., 1] = 0.7 * f0[:-1, None]
+        hi[..., 1] = 0.7 * f0[1:, None]
+        return lo.reshape(-1, 2), hi.reshape(-1, 2)
 
 
 class PiecewiseExample1D(MapOracle):

@@ -4,6 +4,9 @@ build_boxmap inflates each box's image enclosure by rho (sup metric, so
 rectangles stay rectangles) and records every grid box the result meets.
 Because enclosures are rectangles, the target set of a box is always a
 contiguous block of indices, so a BoxMap stores per-box index ranges.
+It asks the oracle for the enclosures of one slab of whole first-axis
+layers at a time and writes that slab's ranges into the box map's
+arrays, so no float array spans the whole grid.
 BoxMap.expand turns the ranges of the boxes a caller asks for into CSR
 rows; no matrix over the whole grid is built or kept.
 Boxes whose inflated enclosure misses the phase space entirely are
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import BoxdynError, GridMismatch
 from .grid import CubicalGrid
-from .oracles import MapOracle
+from .oracles import MapOracle, _slabs
 
 # edges expanded per step of BoxMap.expand; bounds its temporary arrays
 _CHUNK_EDGES = 1 << 16
@@ -106,23 +109,40 @@ class BoxMap:
 
 
 def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
-    """rho-inflated combinatorial outer approximation of the oracle.
+    """rho-inflated combinatorial outer approximation of the oracle,
+    filled slab by slab (oracles._slabs).
 
-    An enclosure with a NaN bound is refused: index_ranges_bulk would
-    read it as escape.  An infinite bound is sound and kept."""
+    An enclosure with a NaN bound is refused, naming its box in the
+    grid: index_ranges_bulk would read it as escape.  An infinite bound
+    is sound and kept."""
     if not rho >= 0:
         raise ValueError("rho must be nonnegative")
     if oracle.dimension != grid.dimension:
         raise GridMismatch(
             f"oracle dimension {oracle.dimension} != grid dimension {grid.dimension}"
         )
-    lo, hi = oracle.image_rects(grid)
-    if np.isnan(lo.min()) or np.isnan(hi.max()):  # min and max keep a NaN
-        box = int(np.argmax(np.isnan(lo).any(axis=1) | np.isnan(hi).any(axis=1)))
-        raise BoxdynError(f"the enclosure of box {grid.multi_index(box)} "
-                          "has a NaN bound")
-    jmin, jmax, nonempty = grid.index_ranges_bulk(lo, hi, pad=rho)
-    return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=~nonempty)
+    n, d = grid.box_count, grid.dimension
+    layer = n // grid.shape[0]
+    jmin = None
+    for a, b in _slabs(grid):
+        lo, hi = oracle.image_rects(grid, (a, b))
+        if np.isnan(lo.min()) or np.isnan(hi.max()):  # min and max keep a NaN
+            box = int(np.argmax(np.isnan(lo).any(axis=1)
+                                | np.isnan(hi).any(axis=1)))
+            raise BoxdynError(f"the enclosure of box "
+                              f"{grid.multi_index(a * layer + box)} "
+                              "has a NaN bound")
+        if jmin is None:
+            # allocated once the first slab's temporaries are freed, whose
+            # memory the ranges can then take
+            jmin = np.empty((n, d), dtype=np.int32)
+            jmax = np.empty((n, d), dtype=np.int32)
+            nonempty = np.empty(n, dtype=bool)
+        rows = slice(a * layer, b * layer)
+        grid.index_ranges_bulk(lo, hi, pad=rho,
+                               out=(jmin[rows], jmax[rows], nonempty[rows]))
+    exterior = np.logical_not(nonempty, out=nonempty)
+    return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=exterior)
 
 
 def encloses(a: BoxMap, b: BoxMap) -> bool:

@@ -77,6 +77,41 @@ def box_rect(grid, index):
     return Rect(lo, hi)
 
 
+def leslie_enclosures(theta, faces):
+    """Leslie image enclosures, box by box: the closed form in theta1 ==
+    theta2 (g(s) = theta*s*exp(-0.1*s) at the corner sums, its peak
+    g(10) on the boxes whose sums straddle 10), otherwise the interval
+    product of t1*x1 + t2*x2 and exp(-0.1*s); the second coordinate is
+    0.7*x1.  The reference for LeslieOracle.enclosures, which shares
+    each vertex sum between the boxes that meet it."""
+    t1, t2 = theta
+    mesh = np.meshgrid(*[f[:-1] for f in faces], indexing="ij")
+    lo = np.stack(mesh, axis=-1).reshape(-1, 2)
+    mesh = np.meshgrid(*[f[1:] for f in faces], indexing="ij")
+    hi = np.stack(mesh, axis=-1).reshape(-1, 2)
+    s_lo = lo[:, 0] + lo[:, 1]
+    s_hi = hi[:, 0] + hi[:, 1]
+    if t1 == t2:
+        g_lo = t1 * s_lo * np.exp(-0.1 * s_lo)
+        g_hi = t1 * s_hi * np.exp(-0.1 * s_hi)
+        f_lo = np.minimum(g_lo, g_hi)
+        f_hi = np.maximum(g_lo, g_hi)
+        peak = (s_lo <= 10.0) & (10.0 <= s_hi)
+        f_hi = np.where(peak, max(t1 * 10.0 * math.exp(-1.0), 0.0), f_hi)
+        f_lo = np.where(peak & (t1 < 0), t1 * 10.0 * math.exp(-1.0), f_lo)
+    else:
+        w_lo = (min(t1, 0.0) * hi[:, 0] + max(t1, 0.0) * lo[:, 0]
+                + min(t2, 0.0) * hi[:, 1] + max(t2, 0.0) * lo[:, 1])
+        w_hi = (min(t1, 0.0) * lo[:, 0] + max(t1, 0.0) * hi[:, 0]
+                + min(t2, 0.0) * lo[:, 1] + max(t2, 0.0) * hi[:, 1])
+        e_lo = np.exp(-0.1 * s_hi)
+        e_hi = np.exp(-0.1 * s_lo)
+        prods = np.stack([w_lo * e_lo, w_lo * e_hi, w_hi * e_lo, w_hi * e_hi])
+        f_lo, f_hi = prods.min(axis=0), prods.max(axis=0)
+    return (np.column_stack([f_lo, 0.7 * lo[:, 0]]),
+            np.column_stack([f_hi, 0.7 * hi[:, 0]]))
+
+
 def index_ranges(grid, r):
     """Inclusive per-axis index range of the boxes meeting r, or None.
 

@@ -214,7 +214,12 @@ class TestAnalyzeCommand:
             assert (nd["p1_boxes"], nd["p0_boxes"]) == (pair.p1.size,
                                                         pair.p0.size)
             assert nd["conley_s"] > 0
-        assert sum(nd["conley_s"] for nd in nodes) <= manifest["timings"]["conley_s"]
+        timings = manifest["timings"]
+        assert sum(nd["conley_s"] for nd in nodes) <= timings["conley_s"]
+        # caching is on: the cache write has its own entry, outside boxmap_s
+        assert 0 < timings["boxmap_cache_write_s"]
+        assert timings["boxmap_s"] + timings["boxmap_cache_write_s"] \
+            <= timings["total_s"]
         dot = (out / "morse_graph.dot").read_text()
         assert "digraph" in dot and "x - 1" in dot
 

@@ -90,6 +90,48 @@ class TestBoxesIntersecting:
             assert got == sorted(set(got))
 
 
+class TestIndexRangesBulk:
+    @pytest.mark.parametrize("space, depths", [
+        (PhaseSpace([0.0, 0.0], [90.0, 70.0]), [0, 3]),
+        (PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 5]),
+        (PhaseSpace([-0.3, 0.1], [0.7, 1.3]), [3, 2]),
+    ], ids=["depth-0-axis", "leslie", "odd"])
+    @pytest.mark.parametrize("pad", [0.0, 0.03])
+    def test_matches_closed_box_rule(self, space, depths, pad):
+        """Box k meets [x, y] iff faces[k] <= y and x <= faces[k + 1]; a
+        rectangle meets X iff some box meets it on every axis.  Keys are
+        faces, their neighbouring floats, points beyond the domain and
+        +-inf; the last two rectangles lie below and above X."""
+        rng = np.random.default_rng(18)
+        grid = CubicalGrid(space, depths)
+        keys = []
+        for f in grid.faces:
+            pool = np.concatenate([
+                f, np.nextafter(f, -np.inf), np.nextafter(f, np.inf),
+                [f[0] - 1.0, f[-1] + 1.0, f[0] - pad, f[-1] + pad,
+                 -np.inf, np.inf]])
+            keys.append(np.sort(np.concatenate([
+                rng.choice(pool, size=(400, 2)),
+                [[-np.inf, f[0] - 1.0], [f[-1] + 1.0, np.inf]]]), axis=1))
+        lo = np.stack([k[:, 0] for k in keys], axis=1)
+        hi = np.stack([k[:, 1] for k in keys], axis=1)
+        jmin, jmax, nonempty = grid.index_ranges_bulk(lo, hi, pad=pad)
+        assert jmin.dtype == jmax.dtype == np.int32
+        met = 0
+        for r in range(lo.shape[0]):
+            meets = []
+            for i, f in enumerate(grid.faces):
+                x, y = lo[r, i] - pad, hi[r, i] + pad
+                meets.append([k for k in range(grid.shape[i])
+                              if f[k] <= y and x <= f[k + 1]])
+            assert nonempty[r] == all(meets)
+            if all(meets):
+                met += 1
+                assert jmin[r].tolist() == [m[0] for m in meets]
+                assert jmax[r].tolist() == [m[-1] for m in meets]
+        assert 0 < met < lo.shape[0]
+
+
 class TestGeometry:
     def test_diameter_unit_square(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [0, 0])

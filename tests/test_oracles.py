@@ -12,10 +12,11 @@ from boxdyn import (
     PhaseSpace,
     PiecewiseExample1D,
     Rect,
+    build_boxmap,
     oracles,
 )
 
-from conftest import box_rect, half_diameter
+from conftest import box_rect, half_diameter, leslie_enclosures
 
 
 class TestLeslieEval:
@@ -235,16 +236,20 @@ LESLIE_SPACE = PhaseSpace([0.0, 0.0], [90.0, 70.0])
 ODD_SPACE = PhaseSpace([-0.3, 0.1], [0.7, 1.3])
 
 
+# one oracle of each kind, with the space and depths of its test grid
+EVERY_ORACLE = pytest.mark.parametrize("make, space, depths", [
+    (lambda rng: LeslieOracle((23.5, 23.5)), LESLIE_SPACE, [4, 5]),
+    (lambda rng: LeslieOracle((19.0, 27.0)), LESLIE_SPACE, [4, 5]),
+    (lambda rng: PiecewiseExample1D(1.5), PhaseSpace([-2.0], [2.0]), [6]),
+    (_mlp, ODD_SPACE, [4, 5]),
+    (lambda rng: CallableOracle(np.cos, 1.0, 2), ODD_SPACE, [3, 3]),
+    (_data, LESLIE_SPACE, [4, 5]),
+], ids=["leslie-equal", "leslie-unequal", "piecewise", "mlp", "callable",
+        "data"])
+
+
 class TestImageRectGeneric:
-    @pytest.mark.parametrize("make, space, depths", [
-        (lambda rng: LeslieOracle((23.5, 23.5)), LESLIE_SPACE, [4, 5]),
-        (lambda rng: LeslieOracle((19.0, 27.0)), LESLIE_SPACE, [4, 5]),
-        (lambda rng: PiecewiseExample1D(1.5), PhaseSpace([-2.0], [2.0]), [6]),
-        (_mlp, ODD_SPACE, [4, 5]),
-        (lambda rng: CallableOracle(np.cos, 1.0, 2), ODD_SPACE, [3, 3]),
-        (_data, LESLIE_SPACE, [4, 5]),
-    ], ids=["leslie-equal", "leslie-unequal", "piecewise", "mlp", "callable",
-            "data"])
+    @EVERY_ORACLE
     def test_image_rect_is_row_of_image_rects(self, make, space, depths,
                                               monkeypatch):
         """Every slab size gives the same rows: the default (one slab on
@@ -274,6 +279,24 @@ class TestImageRectGeneric:
                 assert np.array_equal(r.lower, lo[k])
                 assert np.array_equal(r.upper, hi[k])
 
+    @EVERY_ORACLE
+    def test_boxmap_is_the_same_for_every_slab_size(self, make, space,
+                                                    depths, monkeypatch):
+        """build_boxmap fills its ranges slab by slab: one and three
+        first-axis layers per slab give the ranges and the exterior of
+        the default (one slab on these grids)."""
+        o = make(np.random.default_rng(5))
+        grid = CubicalGrid(space, depths)
+        want = build_boxmap(grid, o, 0.03)
+        layer = grid.box_count // grid.shape[0]
+        for layers_per_slab in (1, 3):
+            monkeypatch.setattr(oracles, "_SLAB_BOXES", layers_per_slab * layer)
+            assert len(oracles._slabs(grid)) >= 2
+            got = build_boxmap(grid, o, 0.03)
+            assert np.array_equal(got.jmin, want.jmin)
+            assert np.array_equal(got.jmax, want.jmax)
+            assert np.array_equal(got.exterior, want.exterior)
+
     def test_degenerate_box_has_zero_padding(self):
         o = LeslieOracle((23.5, 23.5))
         p = np.array([3.0, 4.0])
@@ -293,3 +316,33 @@ class TestImageRectGeneric:
             ro = o.image_rect(outer).padded(slack)
             assert np.all(ri.lower >= ro.lower - 1e-9)
             assert np.all(ri.upper <= ro.upper + 1e-9)
+
+
+class TestLeslieEnclosures:
+    @pytest.mark.parametrize("theta", [(23.5, 23.5), (19.0, 27.0),
+                                       (-5.0, -5.0), (-3.0, 4.0)])
+    @pytest.mark.parametrize("space", [LESLIE_SPACE, ODD_SPACE],
+                             ids=["leslie", "odd"])
+    def test_enclosures_match_box_by_box_reference(self, theta, space,
+                                                   monkeypatch):
+        """Bit for bit: the vertex sums are the additions the box-by-box
+        form makes.  On LESLIE_SPACE at depths (4, 5) the faces 5.625
+        and 4.375 sum to exactly 10, the peak of g."""
+        o = LeslieOracle(theta)
+        for depths in ([0, 0], [0, 3], [3, 0], [4, 5], [7, 6]):
+            grid = CubicalGrid(space, depths)
+            want = leslie_enclosures(theta, grid.faces)
+            got = o.enclosures(grid.faces)
+            for w, g in zip(want, got):
+                assert g.shape == (grid.box_count, 2)
+                assert np.array_equal(w, g)
+        if space is LESLIE_SPACE:
+            faces = CubicalGrid(space, [4, 5]).faces
+            assert (faces[0][:, None] + faces[1] == 10.0).any()
+        # a grid of five slabs of three first-axis layers, and one layer
+        grid = CubicalGrid(space, [4, 3])
+        monkeypatch.setattr(oracles, "_SLAB_BOXES", 3 * 8)
+        assert len(oracles._slabs(grid)) == 6
+        want = leslie_enclosures(theta, grid.faces)
+        for w, g in zip(want, o.image_rects(grid)):
+            assert np.array_equal(w, g)

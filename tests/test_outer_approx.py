@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from boxdyn import (
     CallableOracle,
     CubicalGrid,
     GridMismatch,
+    LeslieOracle,
     PhaseSpace,
     PiecewiseExample1D,
     build_boxmap,
     encloses,
 )
-from boxdyn import BoxdynError, outer_approx
+from boxdyn import BoxdynError, oracles, outer_approx
 from boxdyn.outer_approx import _CHUNK_EDGES, BoxMap
 
 from conftest import box_rect, boxes_intersecting
@@ -90,6 +92,37 @@ class TestBuildBoxmap:
                                 lipschitz=1.0, dimension=1)
         with pytest.raises(BoxdynError, match=r"box \(2,\)"):
             build_boxmap(grid, oracle, 0.0)
+
+    def test_nan_enclosure_in_a_later_slab_refused(self, monkeypatch):
+        """The box is named in the grid, not by its row in its slab: with
+        one first-axis layer per slab, the images at (1, 0.75) and
+        (1, 1) are NaN and box (7, 2) is the first to meet one."""
+        monkeypatch.setattr(oracles, "_SLAB_BOXES", 4)
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 2])
+        assert len(oracles._slabs(grid)) == 8
+        oracle = CallableOracle(
+            lambda x: [np.nan, np.nan] if x[0] > 0.9 and x[1] > 0.6 else x,
+            lipschitz=1.0, dimension=2)
+        with pytest.raises(BoxdynError, match=r"box \(7, 2\)"):
+            build_boxmap(grid, oracle, 0.0)
+
+    def test_peak_memory_is_a_few_slabs(self, monkeypatch):
+        """No enclosure of the whole grid is held: over 16 slabs, the
+        traced peak stays below the box map's own arrays plus six slabs
+        of enclosures (lo and hi)."""
+        monkeypatch.setattr(oracles, "_SLAB_BOXES", 1024)
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [7, 7])
+        assert len(oracles._slabs(grid)) == 16
+        oracle = LeslieOracle((23.5, 23.5))
+        tracemalloc.start()
+        try:
+            bm = build_boxmap(grid, oracle, 0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = bm.jmin.nbytes + bm.jmax.nbytes + bm.exterior.nbytes
+        slab = 2 * 1024 * grid.dimension * 8
+        assert peak < own + 6 * slab
 
     def test_infinite_enclosure_kept(self):
         """An infinite bound is sound: the box meets the grid up to its

@@ -13,8 +13,7 @@ from .conley import (ConleyIndex, conley_index, format_poly,
                      shift_invariant_factors)
 from .errors import (BoxdynError, CarrierNotAcyclic, ConfigError,
                      DimensionMismatch, EmptyDataset, GridMismatch,
-                     NodeNotRecurrent, ParseError, PointOutsideDomain,
-                     RegionStraddlesTiles)
+                     NodeNotRecurrent, ParseError, PointOutsideDomain)
 from .graph_dynamics import (Condensation, IndexPairC, MorseGraph,
                              condensation, downset, index_pair, morse_graph,
                              morse_graph_from_jsonable,
@@ -35,8 +34,7 @@ __all__ = [
     "HomologyBasis", "IndexPairC", "LeslieOracle", "LipschitzDataOracle",
     "MapOracle", "MlpOracle", "MorseGraph", "NodeNotRecurrent", "NuMap",
     "PairComplex", "ParseError", "PhaseSpace", "PiecewiseExample1D",
-    "PointOutsideDomain", "Rect", "RegionStraddlesTiles",
-    "build_boxmap", "chain_map",
+    "PointOutsideDomain", "Rect", "build_boxmap", "chain_map",
     "check_epimorphism", "condensation", "conley_index", "downset",
     "encloses", "format_poly", "index_pair", "induced_homology_map",
     "invariant_factors_mod_p", "morse_graph", "morse_graph_from_jsonable",

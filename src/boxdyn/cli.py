@@ -31,8 +31,7 @@ from .compare import project
 from .conley import conley_index
 from .errors import (BoxdynError, ConfigError, DimensionMismatch,
                      EmptyDataset, ParseError)
-from .graph_dynamics import MorseGraph, condensation, morse_graph, \
-    morse_graph_from_jsonable
+from .graph_dynamics import MorseGraph, condensation, morse_graph
 from .grid import CubicalGrid, PhaseSpace
 from .homology import check_prime
 from .oracles import LeslieOracle, LipschitzDataOracle, MlpOracle, \
@@ -294,8 +293,7 @@ def _cached_boxmap(cfg: AnalysisConfig, key: str, grid: CubicalGrid,
         return bm, None
     t0 = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(cache, jmin=bm.jmin, jmax=bm.jmax,
-                        exterior=bm.exterior)
+    np.savez(cache, jmin=bm.jmin, jmax=bm.jmax, exterior=bm.exterior)
     return bm, time.perf_counter() - t0
 
 
@@ -394,11 +392,6 @@ def write_outputs(cfg: AnalysisConfig, mg: MorseGraph, manifest: dict):
                 w.writerow([int(b), q])
 
 
-def load_morse_graph(path) -> MorseGraph:
-    doc = json.loads(Path(path).read_text())
-    return morse_graph_from_jsonable(doc)
-
-
 def cmd_analyze(cfg: AnalysisConfig):
     mg, manifest = run_analysis(cfg)
     write_outputs(cfg, mg, manifest)
@@ -413,13 +406,12 @@ def cmd_compare(cfg_fine: AnalysisConfig, cfg_coarse: AnalysisConfig, out=None):
     coarse, man_c = run_analysis(cfg_coarse)
     nu = project(fine, coarse)
     report = nu.to_jsonable()
-    report["epimorphism_check"] = nu.facts
     report["fine_manifest"] = man_f
     report["coarse_manifest"] = man_c
     out = Path(out or cfg_fine.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "nu_report.json").write_text(json.dumps(report, indent=2))
-    ok = report["epimorphism_check"]["is_epimorphism"]
+    ok = nu.facts["is_epimorphism"]
     print(f"nu: {'poset epimorphism verified' if ok else 'NOT an epimorphism'} "
           f"-> {out}/nu_report.json")
     return nu

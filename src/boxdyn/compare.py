@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatch, RegionStraddlesTiles
+from .errors import GridMismatch
 from .graph_dynamics import MorseGraph
 
 
@@ -48,24 +48,18 @@ class NuMap:
     def __init__(self, assignment, straddles, fine: MorseGraph,
                  coarse: MorseGraph):
         self.assignment = dict(assignment)
-        self.straddles = list(straddles)  # RegionStraddlesTiles instances
+        # {"fine_node": q, "coarse_candidates": [...]} per unassigned node
+        self.straddles = list(straddles)
         self.facts = check_epimorphism(self, fine, coarse)
         self.well_defined = self.facts["total"]
         self.surjective = self.facts["surjective"]
         self.order_preserving = self.facts["order_preserving"]
-        self.counterexamples = self.facts["order_violations"]
 
     def to_jsonable(self) -> dict:
         return {
             "assignment": {str(k): v for k, v in self.assignment.items()},
-            "straddles": [
-                {"fine_node": e.node, "coarse_candidates": e.candidates}
-                for e in self.straddles
-            ],
-            "well_defined": self.well_defined,
-            "surjective": self.surjective,
-            "order_preserving": self.order_preserving,
-            "counterexamples": self.counterexamples,
+            "straddles": self.straddles,
+            "epimorphism_check": self.facts,
             "note": (
                 "The coarse Morse graph is an operational surrogate for a "
                 "Morse representation of the underlying map; the projection "
@@ -102,7 +96,7 @@ def project(fine: MorseGraph, coarse: MorseGraph) -> NuMap:
             if not candidates:
                 # report which tiles the region touches
                 candidates = [m for m in coarse.nodes if tiles[m][cboxes].any()]
-            straddles.append(RegionStraddlesTiles(q, candidates))
+            straddles.append({"fine_node": q, "coarse_candidates": candidates})
 
     return NuMap(assignment, straddles, fine, coarse)
 

@@ -33,21 +33,6 @@ class CarrierNotAcyclic(BoxdynError):
         super().__init__(msg)
 
 
-class RegionStraddlesTiles(BoxdynError):
-    """A fine Morse region meets several coarse Morse tiles.
-
-    Recorded in the projection report rather than raised; the node has
-    no well-defined image under the projection.
-    """
-
-    def __init__(self, node, candidates):
-        self.node = node
-        self.candidates = list(candidates)
-        super().__init__(
-            f"fine node {node} meets coarse tiles of nodes {self.candidates}"
-        )
-
-
 class ParseError(BoxdynError):
     """An input file failed to parse; message includes the location."""
 

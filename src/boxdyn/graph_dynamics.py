@@ -368,6 +368,7 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     downset_of raises (the JSON document is a record of nodes, order,
     and regions).  BoxdynError if node ids are not their positions
     0..m-1, a region box is off the grid or in the regions of two nodes,
+    a region is empty or its smallest box is not its node's component,
     an order pair does not name two distinct nodes, or the order is not
     the full reachability order morse_graph writes: antisymmetric and
     transitively closed, which hasse_edges assumes.
@@ -407,6 +408,14 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     if shared.size:
         raise BoxdynError(f"Morse graph record: box {shared[0]} lies in the "
                           "regions of two nodes")
+    for nd, r in zip(nodes, regions):
+        if not r.size:
+            raise BoxdynError(f"Morse graph record: node {nd['id']} has an "
+                              "empty region")
+        if nd["component"] != r.min():
+            raise BoxdynError(f"Morse graph record: node {nd['id']} has "
+                              f"component {nd['component']}, not its region's "
+                              f"smallest box {r.min()}")
     mg = MorseGraph(
         grid,
         [nd["component"] for nd in nodes],

@@ -5,7 +5,7 @@ product grid in a rectangle guaranteed to contain it, and reports an
 explicit upper bound on the Lipschitz constant of G.  Each of these is
 one method: eval_batch is the only pointwise formula (eval checks one
 point and calls it) and enclosures(faces) the only enclosure formula
-(image_rect and image_rects call it on a one-box grid and on slabs of
+(image_rect calls it on a one-box grid, and image_rects on a slab of
 whole first-axis layers of a CubicalGrid; build_boxmap asks for one slab
 at a time, so no enclosure of the whole grid is held).  The default
 enclosure is the hull of the corner images padded by L * (half box
@@ -30,21 +30,6 @@ from .grid import CubicalGrid, Rect
 #: Change it whenever an enclosure changes.  "v1": every bound is
 #: rounded to nearest, none outward.
 ENCLOSURE_SEMANTICS = "v1"
-
-# image_rects asks enclosures for slabs of about this many boxes, whole
-# layers along the first axis, so the temporaries of one call stay small
-_SLAB_BOXES = 1 << 16
-
-
-def _slabs(grid: CubicalGrid):
-    """The slabs of the grid as first-axis layer ranges (a, b), in order:
-    as many whole layers as fit in _SLAB_BOXES boxes, at least one.  A
-    slab's boxes are rows a * layer .. b * layer of the linear order,
-    layer being the number of boxes in one first-axis layer."""
-    step = max(1, _SLAB_BOXES // (grid.box_count // grid.shape[0]))
-    return [(a, min(a + step, grid.shape[0]))
-            for a in range(0, grid.shape[0], step)]
-
 
 class MapOracle(ABC):
     """Evaluable map with rectangle image enclosures and a Lipschitz bound."""
@@ -94,28 +79,12 @@ class MapOracle(ABC):
             [np.array([a, b]) for a, b in zip(box.lower, box.upper)])
         return Rect(lo[0], hi[0])
 
-    def image_rects(self, grid: CubicalGrid, layers=None):
-        """Image enclosures of grid boxes; returns (lo, hi), shape (n, d).
-
-        Boxes are ordered by linearized index.  With layers = (a, b) the
-        boxes are those of first-axis layers a .. b - 1, in one call to
-        enclosures.  Without, they are every box of the grid, and
-        enclosures runs on each slab of _slabs(grid).
-        """
-        if layers is not None:
-            a, b = layers
-            return self.enclosures([grid.faces[0][a:b + 1]]
-                                   + list(grid.faces[1:]))
-        slabs = _slabs(grid)
-        if len(slabs) == 1:  # no copy
-            return self.image_rects(grid, slabs[0])
-        layer = grid.box_count // grid.shape[0]
-        lo = np.empty((grid.box_count, grid.dimension))
-        hi = np.empty((grid.box_count, grid.dimension))
-        for a, b in slabs:
-            rows = slice(a * layer, b * layer)
-            lo[rows], hi[rows] = self.image_rects(grid, (a, b))
-        return lo, hi
+    def image_rects(self, grid: CubicalGrid, layers):
+        """Image enclosures of the boxes of first-axis layers a .. b - 1
+        of the grid, layers = (a, b); returns (lo, hi), shape (n, d),
+        boxes ordered by linearized index."""
+        a, b = layers
+        return self.enclosures([grid.faces[0][a:b + 1]] + list(grid.faces[1:]))
 
 
 def _product(axes) -> np.ndarray:

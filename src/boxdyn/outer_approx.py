@@ -19,10 +19,13 @@ import numpy as np
 
 from .errors import BoxdynError, GridMismatch
 from .grid import CubicalGrid
-from .oracles import MapOracle, _slabs
+from .oracles import MapOracle
 
 # edges expanded per step of BoxMap.expand; bounds its temporary arrays
 _CHUNK_EDGES = 1 << 16
+# build_boxmap asks the oracle for slabs of about this many boxes, whole
+# layers along the first axis, so the temporaries of one call stay small
+_SLAB_BOXES = 1 << 16
 
 
 class BoxMap:
@@ -108,9 +111,19 @@ class BoxMap:
         return self.expand([int(linear)])[1].astype(np.int64)
 
 
+def _slabs(grid: CubicalGrid):
+    """The slabs of the grid as first-axis layer ranges (a, b), in order:
+    as many whole layers as fit in _SLAB_BOXES boxes, at least one.  A
+    slab's boxes are rows a * layer .. b * layer of the linear order,
+    layer being the number of boxes in one first-axis layer."""
+    step = max(1, _SLAB_BOXES // (grid.box_count // grid.shape[0]))
+    return [(a, min(a + step, grid.shape[0]))
+            for a in range(0, grid.shape[0], step)]
+
+
 def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
     """rho-inflated combinatorial outer approximation of the oracle,
-    filled slab by slab (oracles._slabs).
+    filled slab by slab (_slabs).
 
     An enclosure with a NaN bound is refused, naming its box in the
     grid: index_ranges_bulk would read it as escape.  An infinite bound

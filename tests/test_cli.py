@@ -1,16 +1,16 @@
 import json
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boxdyn import oracles
+from boxdyn import morse_graph_from_jsonable, oracles
 from boxdyn.cli import (
     AnalysisConfig,
     load_config,
-    load_morse_graph,
     load_mlp_weights,
     load_trajectory_data,
     main,
@@ -256,7 +256,8 @@ class TestAnalyzeCommand:
         mg, _ = run_analysis(cfg)
         from boxdyn.cli import write_outputs
         write_outputs(cfg, mg, {})
-        back = load_morse_graph(tmp_path / "out" / "morse_graph.json")
+        path = tmp_path / "out" / "morse_graph.json"
+        back = morse_graph_from_jsonable(json.loads(path.read_text()))
         assert back.nodes == mg.nodes
         assert back.order == mg.order
         for q in mg.nodes:
@@ -277,7 +278,7 @@ class TestAnalyzeCommand:
         ci["labels"][0] = "x + 1"
         path.write_text(json.dumps(doc))
         with pytest.raises(BoxdynError, match="labels"):
-            load_morse_graph(path)
+            morse_graph_from_jsonable(json.loads(path.read_text()))
 
     def test_flag_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json")
@@ -299,6 +300,18 @@ class TestAnalyzeCommand:
         stamp = caches[0].stat().st_mtime_ns
         assert main(["analyze", "--config", str(cfg_path)]) == 0
         assert caches[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
+
+    def test_cache_is_written_uncompressed(self, tmp_path):
+        """The cache is written with np.savez: zlib at 2^21 boxes took
+        longer than the build it saves."""
+        cfg_path = write_config(tmp_path / "c.json")
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        cache, = (tmp_path / "out").glob("boxmap_*.npz")
+        with zipfile.ZipFile(cache) as z:
+            members = z.infolist()
+        assert sorted(m.filename for m in members) == [
+            "exterior.npy", "jmax.npy", "jmin.npy"]
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
 
     def test_cache_follows_enclosure_semantics(self, tmp_path, monkeypatch):
         """A box map cached under one enclosure tag is not reused under
@@ -348,7 +361,7 @@ class TestAnalyzeCommand:
             weights.write_text("mlp-weights v1\nactivation relu\nlayers 1\n"
                                f"layer 1 1\n{slope}\n0\n")
             assert main(["analyze", "--config", str(cfg_path)]) == 0
-            mg = load_morse_graph(graph)
+            mg = morse_graph_from_jsonable(json.loads(graph.read_text()))
             box = mg.grid.linearize(mg.grid.box_containing([0.0]))
             q, = [q for q in mg.nodes if box in mg.region_of(q)]
             return mg.index_of[q].labels()
@@ -483,6 +496,9 @@ class TestCompareCommand:
                    "--out", str(tmp_path / "cmp")])
         assert rc == 0
         report = json.loads((tmp_path / "cmp" / "nu_report.json").read_text())
-        assert report["well_defined"]
-        assert report["epimorphism_check"]["order_preserving"]
+        facts = report["epimorphism_check"]
+        assert facts["total"] and facts["order_preserving"]
         assert "assignment" in report
+        # each finding is written once, under epimorphism_check
+        assert not {"well_defined", "surjective", "order_preserving",
+                    "counterexamples"} & set(report)

@@ -147,13 +147,14 @@ class TestProject:
         )
         nu = project(fake_fine, coarse)
         assert not nu.well_defined
-        assert nu.straddles and nu.straddles[0].node == 0
-        assert len(nu.straddles[0].candidates) >= 2
+        assert nu.straddles and nu.straddles[0]["fine_node"] == 0
+        assert len(nu.straddles[0]["coarse_candidates"]) >= 2
 
     def test_straddle_flags_are_the_checks_findings(self, tmp_path,
                                                      monkeypatch):
-        """On a partial nu the flags and the report's epimorphism_check
-        both are check_epimorphism's findings, so they cannot disagree."""
+        """On a partial nu the flags and the record's epimorphism_check
+        both are check_epimorphism's findings, so they cannot disagree,
+        and the record holds each finding once."""
         from boxdyn import cli
         coarse = piecewise_graph(10)
         assert len(coarse.nodes) >= 2
@@ -163,10 +164,14 @@ class TestProject:
         facts = check_epimorphism(nu, fake_fine, coarse)
         doc = nu.to_jsonable()
         assert nu.straddles and not facts["total"]
-        assert ([doc[k] for k in ("well_defined", "surjective",
-                                  "order_preserving", "counterexamples")]
+        assert ([nu.well_defined, nu.surjective, nu.order_preserving]
                 == [facts[k] for k in ("total", "surjective",
-                                       "order_preserving", "order_violations")])
+                                       "order_preserving")])
+        assert sorted(doc) == ["assignment", "epimorphism_check", "note",
+                               "straddles"]
+        assert doc["epimorphism_check"] == facts
+        assert doc["straddles"] == [{"fine_node": 0,
+                                     "coarse_candidates": [0, 1]}]
 
         graphs = iter([(fake_fine, {}), (coarse, {})])
         monkeypatch.setattr(cli, "run_analysis", lambda cfg: next(graphs))
@@ -186,5 +191,6 @@ class TestProject:
         fine = piecewise_graph(10)
         nu = project(fine, fine)
         doc = nu.to_jsonable()
-        assert doc["well_defined"] and doc["surjective"]
+        facts = doc["epimorphism_check"]
+        assert facts["total"] and facts["surjective"]
         assert doc["assignment"] == {str(q): q for q in fine.nodes}

@@ -452,8 +452,11 @@ class TestMorseGraph:
         (lambda doc: doc["order"].extend([[0, 1], [1, 2]]), "but not"),
         (lambda doc: doc["nodes"][1]["region"].append(
             doc["nodes"][0]["region"][0]), "two nodes"),
+        (lambda doc: doc["nodes"][1].update(component=37), "smallest box 1"),
+        (lambda doc: doc["nodes"][1].update(region=[]), "empty region"),
     ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id",
-            "order-cycle", "order-not-transitive", "shared-region"])
+            "order-cycle", "order-not-transitive", "shared-region",
+            "component-not-smallest-box", "empty-region"])
     def test_inconsistent_record_refused(self, edit, match):
         """A reloaded record whose order, regions or ids do not fit its
         nodes and grid is refused, not drawn or projected."""

@@ -13,7 +13,7 @@ from boxdyn import (
     PiecewiseExample1D,
     Rect,
     build_boxmap,
-    oracles,
+    outer_approx,
 )
 
 from conftest import box_rect, half_diameter, leslie_enclosures
@@ -72,7 +72,7 @@ class TestLeslieEval:
         for theta in [(23.5, 23.5), (19.0, 27.0)]:
             o = LeslieOracle(theta)
             grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 4])
-            lo, hi = o.image_rects(grid)
+            lo, hi = o.enclosures(grid.faces)
             for _ in range(200):
                 k = int(rng.integers(0, grid.box_count))
                 r = box_rect(grid, grid.multi_index(k))
@@ -111,7 +111,7 @@ class TestPiecewise1D:
     def test_image_rects_match_endpoints(self, rng):
         o = PiecewiseExample1D(1.5)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
-        lo, hi = o.image_rects(grid)
+        lo, hi = o.enclosures(grid.faces)
         for k in range(grid.box_count):
             r = box_rect(grid, (k,))
             assert lo[k, 0] == o.eval(r.lower)[0]
@@ -120,7 +120,7 @@ class TestPiecewise1D:
     def test_soundness(self, rng):
         o = PiecewiseExample1D(1.5)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
-        lo, hi = o.image_rects(grid)
+        lo, hi = o.enclosures(grid.faces)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
             r = box_rect(grid, (k,))
@@ -211,7 +211,7 @@ class TestDataOracle:
         xs = rng.random((30, 1)) * 4.0 - 2.0
         o = LipschitzDataOracle(xs, f(xs), 2.0)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [5])
-        lo, hi = o.image_rects(grid)
+        lo, hi = o.enclosures(grid.faces)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
             r = box_rect(grid, (k,))
@@ -250,49 +250,43 @@ EVERY_ORACLE = pytest.mark.parametrize("make, space, depths", [
 
 class TestImageRectGeneric:
     @EVERY_ORACLE
-    def test_image_rect_is_row_of_image_rects(self, make, space, depths,
-                                              monkeypatch):
-        """Every slab size gives the same rows: the default (one slab on
-        these grids), and one and three first-axis layers per slab,
-        which split every grid here into two slabs or more."""
+    def test_image_rect_is_row_of_image_rects(self, make, space, depths):
+        """Enclosures are box by box: the one-box image_rect of each box
+        is that box's row of enclosures over the whole grid."""
         o = make(np.random.default_rng(5))
         grid = CubicalGrid(space, depths)
-        rects = [o.image_rect(box_rect(grid, grid.multi_index(k)))
-                 for k in range(grid.box_count)]
-        layer = grid.box_count // grid.shape[0]
-        calls = []
-        enclosures = o.enclosures
-        monkeypatch.setattr(o, "enclosures",
-                            lambda faces: calls.append(faces) or enclosures(faces))
-        for layers_per_slab in (None, 1, 3):
-            slabs = 1
-            if layers_per_slab is not None:
-                monkeypatch.setattr(oracles, "_SLAB_BOXES",
-                                    layers_per_slab * layer)
-                slabs = -(-grid.shape[0] // layers_per_slab)
-                assert slabs >= 2
-            calls.clear()
-            lo, hi = o.image_rects(grid)
-            assert len(calls) == slabs
-            assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
-            for k, r in enumerate(rects):
-                assert np.array_equal(r.lower, lo[k])
-                assert np.array_equal(r.upper, hi[k])
+        lo, hi = o.enclosures(grid.faces)
+        assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
+        for k in range(grid.box_count):
+            r = o.image_rect(box_rect(grid, grid.multi_index(k)))
+            assert np.array_equal(r.lower, lo[k])
+            assert np.array_equal(r.upper, hi[k])
 
     @EVERY_ORACLE
     def test_boxmap_is_the_same_for_every_slab_size(self, make, space,
                                                     depths, monkeypatch):
-        """build_boxmap fills its ranges slab by slab: one and three
-        first-axis layers per slab give the ranges and the exterior of
-        the default (one slab on these grids)."""
+        """build_boxmap fills its ranges slab by slab, asking image_rects
+        once for each slab of _slabs, in order: one and three first-axis
+        layers per slab give the ranges and the exterior of the default
+        (one slab on these grids)."""
         o = make(np.random.default_rng(5))
         grid = CubicalGrid(space, depths)
+        calls = []
+        image_rects = o.image_rects
+        monkeypatch.setattr(o, "image_rects", lambda g, layers:
+                            calls.append(layers) or image_rects(g, layers))
         want = build_boxmap(grid, o, 0.03)
+        assert calls == [(0, grid.shape[0])]
         layer = grid.box_count // grid.shape[0]
         for layers_per_slab in (1, 3):
-            monkeypatch.setattr(oracles, "_SLAB_BOXES", layers_per_slab * layer)
-            assert len(oracles._slabs(grid)) >= 2
+            monkeypatch.setattr(outer_approx, "_SLAB_BOXES",
+                                layers_per_slab * layer)
+            slabs = [(a, min(a + layers_per_slab, grid.shape[0]))
+                     for a in range(0, grid.shape[0], layers_per_slab)]
+            assert len(slabs) >= 2
+            calls.clear()
             got = build_boxmap(grid, o, 0.03)
+            assert calls == outer_approx._slabs(grid) == slabs
             assert np.array_equal(got.jmin, want.jmin)
             assert np.array_equal(got.jmax, want.jmax)
             assert np.array_equal(got.exterior, want.exterior)
@@ -339,10 +333,12 @@ class TestLeslieEnclosures:
         if space is LESLIE_SPACE:
             faces = CubicalGrid(space, [4, 5]).faces
             assert (faces[0][:, None] + faces[1] == 10.0).any()
-        # a grid of five slabs of three first-axis layers, and one layer
+        # a grid of five slabs of three first-axis layers, and one layer;
+        # each slab's enclosures are its rows of the reference
         grid = CubicalGrid(space, [4, 3])
-        monkeypatch.setattr(oracles, "_SLAB_BOXES", 3 * 8)
-        assert len(oracles._slabs(grid)) == 6
+        monkeypatch.setattr(outer_approx, "_SLAB_BOXES", 3 * 8)
+        assert len(outer_approx._slabs(grid)) == 6
         want = leslie_enclosures(theta, grid.faces)
-        for w, g in zip(want, o.image_rects(grid)):
-            assert np.array_equal(w, g)
+        for a, b in outer_approx._slabs(grid):
+            for w, g in zip(want, o.image_rects(grid, (a, b))):
+                assert np.array_equal(w[a * 8:b * 8], g)

@@ -14,7 +14,7 @@ from boxdyn import (
     build_boxmap,
     encloses,
 )
-from boxdyn import BoxdynError, oracles, outer_approx
+from boxdyn import BoxdynError, outer_approx
 from boxdyn.outer_approx import _CHUNK_EDGES, BoxMap
 
 from conftest import box_rect, boxes_intersecting
@@ -97,9 +97,9 @@ class TestBuildBoxmap:
         """The box is named in the grid, not by its row in its slab: with
         one first-axis layer per slab, the images at (1, 0.75) and
         (1, 1) are NaN and box (7, 2) is the first to meet one."""
-        monkeypatch.setattr(oracles, "_SLAB_BOXES", 4)
+        monkeypatch.setattr(outer_approx, "_SLAB_BOXES", 4)
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [3, 2])
-        assert len(oracles._slabs(grid)) == 8
+        assert len(outer_approx._slabs(grid)) == 8
         oracle = CallableOracle(
             lambda x: [np.nan, np.nan] if x[0] > 0.9 and x[1] > 0.6 else x,
             lipschitz=1.0, dimension=2)
@@ -110,9 +110,9 @@ class TestBuildBoxmap:
         """No enclosure of the whole grid is held: over 16 slabs, the
         traced peak stays below the box map's own arrays plus six slabs
         of enclosures (lo and hi)."""
-        monkeypatch.setattr(oracles, "_SLAB_BOXES", 1024)
+        monkeypatch.setattr(outer_approx, "_SLAB_BOXES", 1024)
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [7, 7])
-        assert len(oracles._slabs(grid)) == 16
+        assert len(outer_approx._slabs(grid)) == 16
         oracle = LeslieOracle((23.5, 23.5))
         tracemalloc.start()
         try:

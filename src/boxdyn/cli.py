@@ -96,11 +96,12 @@ class AnalysisConfig:
 
     def cache_key(self) -> str:
         """Hash of everything the box map depends on: the configuration
-        without its output directory, the boxdyn version and the
-        enclosure tag, plus the bytes of the oracle's weights or samples
-        file, so that editing the file misses the cache."""
+        without its output directory and prime, the boxdyn version and
+        the enclosure tag, plus the bytes of the oracle's weights or
+        samples file, so that editing the file misses the cache."""
         doc = self.to_jsonable()
         doc.pop("out")
+        doc.pop("prime")
         doc["boxdyn"] = __version__
         doc["enclosure_semantics"] = oracles.ENCLOSURE_SEMANTICS
         h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())

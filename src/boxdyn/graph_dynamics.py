@@ -10,7 +10,10 @@ boxes.  A coarse box's range is the hull of its non-exterior children's
 ranges, shifted down one level, so a fine edge a -> b gives the coarse
 edge parent(a) -> parent(b).  Going from the coarsest level to the
 finest, each level expands only its candidate boxes (all boxes at the
-coarsest level) into a CSR graph.  scipy's strongly connected
+coarsest level) into a CSR graph (BoxMap.graph), in which the boxes
+sharing a wide target rectangle may reach it through one hub node.  A
+hub is not a box: it links boxes to boxes, and is dropped from every
+label, closure and downset.  scipy's strongly connected
 components give its recurrent boxes; a breadth-first search gives the
 forward closure D of those boxes, and the children of D are the next
 level's candidates.  A fine box reachable from a fine cycle lies under
@@ -45,8 +48,10 @@ class Condensation:
     set, which makes numbering deterministic across runs.  candidates
     is a sorted, forward-closed set of boxes that holds every box a
     recurrent box reaches, and graph is the box map's CSR graph on them,
-    in positions of candidates.  levels records, coarsest first, each
-    level's grid shape and the size of its candidate graph.
+    in positions of candidates, with its hub nodes after them.  levels
+    records, coarsest first, each level's grid shape, its candidate
+    boxes, the edges of the box graph on them, the edges stored and the
+    hub nodes.
     """
 
     def __init__(self, boxmap: BoxMap, comp_of: np.ndarray,
@@ -136,41 +141,44 @@ def _graph(indptr, indices) -> csr_matrix:
     return csr_matrix((ones, indices, indptr), shape=(m, m))
 
 
-def _candidate_graph(bm: BoxMap, candidates: np.ndarray) -> csr_matrix:
-    """CSR graph of bm on the candidate boxes, in positions of candidates.
-
-    The candidates are forward closed: they are every box or the
-    children of a forward-closed set of the coarser level, whose ranges
-    hold the parent of every fine target.  So every target is a
-    candidate and no edge is dropped.
-    """
-    indptr, indices = bm.expand(candidates)
-    m = candidates.size
-    if m < bm.n_boxes:
-        position = np.empty(bm.n_boxes, dtype=np.int32)
-        position[candidates] = np.arange(m, dtype=np.int32)
-        indices = position[indices]
-    return _graph(indptr, indices)
+def _box_edges(graph: csr_matrix, m: int) -> int:
+    """Edges of the box graph that graph stands for, its first m nodes
+    being boxes: a hub with c in-edges and s out-edges stands for c * s
+    box edges.  A hub's in-edges are the one edge of each of its rows."""
+    indptr, indices = graph.indptr, graph.indices
+    if graph.shape[0] == m:
+        return int(graph.nnz)
+    one = np.flatnonzero(np.diff(indptr[:m + 1]) == 1)
+    to = indices[indptr[one]]
+    c = np.bincount(to[to >= m] - m, minlength=graph.shape[0] - m)
+    s = np.diff(indptr[m:])
+    return int(graph.nnz - c.sum() - s.sum() + c @ s)
 
 
-def _forward_closure(graph: csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """Sorted nodes reachable from the seeds, seeds included: one
-    breadth-first search from an added source row pointing at them."""
-    m = graph.shape[0]
+def _forward_closure(graph: csr_matrix, seeds: np.ndarray,
+                     m: int) -> np.ndarray:
+    """Sorted nodes below m reachable from the seeds, seeds included:
+    one breadth-first search from an added source row pointing at them.
+    The nodes from m on are hubs, dropped with the source."""
+    source = graph.shape[0]
     indptr = np.append(graph.indptr, graph.indptr[-1] + seeds.size)
     indices = np.concatenate((graph.indices, seeds.astype(graph.indices.dtype)))
-    reach = breadth_first_order(_graph(indptr, indices), m, directed=True,
+    reach = breadth_first_order(_graph(indptr, indices), source, directed=True,
                                 return_predecessors=False)
-    return np.sort(reach[reach != m])
+    return np.sort(reach[reach < m])
 
 
 def condensation(boxmap: BoxMap) -> Condensation:
     """SCC decomposition of a box map.
 
-    A component is recurrent when it has at least two boxes or its one
-    box has a self-loop.  The SCCs are computed level by level on the
-    candidate boxes of a pyramid (see the module docstring); a grid of
-    at most _COARSEST_BOXES boxes is a single level holding every box.
+    A component is recurrent when it has at least two nodes, hubs
+    counted, or a self-loop on the diagonal.  A hub (BoxMap.graph)
+    links boxes to boxes only, so no component is hubs alone but for a
+    lone hub, and a component of one box and a hub is that box's
+    self-loop through its own target rectangle.  The SCCs are computed
+    level by level on the candidate boxes of a pyramid (see the module
+    docstring); a grid of at most _COARSEST_BOXES boxes is a single
+    level holding every box.
     """
     levels = [boxmap]
     while levels[-1].n_boxes > _COARSEST_BOXES:
@@ -178,20 +186,25 @@ def condensation(boxmap: BoxMap) -> Condensation:
     candidates = np.arange(levels[-1].n_boxes, dtype=np.int64)
     records = []
     for k in reversed(range(len(levels))):
-        graph = _candidate_graph(levels[k], candidates)
+        m = candidates.size
+        graph = _graph(*levels[k].graph(candidates))
         records.append({"shape": list(levels[k].grid.shape),
-                        "candidate_boxes": int(candidates.size),
-                        "candidate_edges": int(graph.nnz)})
+                        "candidate_boxes": int(m),
+                        "candidate_edges": _box_edges(graph, m),
+                        "graph_edges": int(graph.nnz),
+                        "hub_nodes": int(graph.shape[0] - m)})
         n_comp, label = connected_components(graph, directed=True,
                                              connection="strong")
         recurrent = np.bincount(label, minlength=n_comp) >= 2
         recurrent[label[graph.diagonal() != 0]] = True
         if k == 0:
             break
-        closure = _forward_closure(graph, np.flatnonzero(recurrent[label]))
+        closure = _forward_closure(graph, np.flatnonzero(recurrent[label]), m)
         candidates = _children(levels[k].grid, levels[k - 1].grid,
                                candidates[closure])
-    # each component is named by its smallest member box
+    # each component is named by its smallest member box; hubs, the
+    # nodes from m on, are not boxes
+    label = label[:m]
     smallest = np.full(n_comp, boxmap.n_boxes, dtype=np.int64)
     np.minimum.at(smallest, label, candidates)
     comp_of = np.arange(boxmap.n_boxes, dtype=np.int64)
@@ -217,7 +230,7 @@ def downset(cond: Condensation, cid: int) -> np.ndarray:
         start = int(np.searchsorted(cond.candidates, int(cid)))
         reach = breadth_first_order(cond.graph, start, directed=True,
                                     return_predecessors=False)
-        ds = cond.candidates[np.sort(reach)]
+        ds = cond.candidates[np.sort(reach[reach < cond.candidates.size])]
         ds.flags.writeable = False  # shared by every caller
         cond._downsets[int(cid)] = ds
     return ds

@@ -8,7 +8,13 @@ It asks the oracle for the enclosures of one slab of whole first-axis
 layers at a time and writes that slab's ranges into the box map's
 arrays, so no float array spans the whole grid.
 BoxMap.expand turns the ranges of the boxes a caller asks for into CSR
-rows; no matrix over the whole grid is built or kept.
+rows; no matrix over the whole grid is built or kept.  BoxMap.graph
+gives the digraph of a forward-closed set of boxes in their positions.
+When the boxes' mean out-degree is high (a data oracle's wide
+rectangles), boxes sharing one target rectangle reach it through one
+hub node, numbered after the boxes, so the graph grows with the boxes
+plus their distinct rectangles, not with the rectangles' areas.  Both
+methods lay out the ranges once and fill them by one routine.
 Boxes whose inflated enclosure misses the phase space entirely are
 flagged exterior and get no targets: escape is data, not failure.
 """
@@ -23,6 +29,10 @@ from .oracles import MapOracle
 
 # edges expanded per step of BoxMap.expand; bounds its temporary arrays
 _CHUNK_EDGES = 1 << 16
+# BoxMap.graph makes hub nodes only for rows of at least this mean
+# out-degree: Leslie maps stay below it (3 to 33 up to 2^24 boxes),
+# data-oracle maps are far above it (512 at 2^9, 4,002 at 2^12)
+_HUB_DEGREE = 64
 # build_boxmap asks the oracle for slabs of about this many boxes, whole
 # layers along the first axis, so the temporaries of one call stay small
 _SLAB_BOXES = 1 << 16
@@ -49,38 +59,36 @@ class BoxMap:
         deg = np.prod(self.jmax.astype(np.int64) - self.jmin + 1, axis=1)
         return int(deg[~self.exterior].sum())
 
-    def expand(self, rows):
-        """Targets of the given boxes as CSR arrays (indptr, indices).
-
-        Row k lists the targets of box rows[k].  Indices are int32 and
-        sorted within each row, because each range is enumerated in
-        ravel order; exterior boxes have empty rows.
-        """
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        shape = self.grid.shape
-        d = len(shape)
-        strides = [int(np.prod(shape[i + 1:])) for i in range(d)]
-        # per axis: range widths, and the index of each range's first box
+    def _layout(self, rows):
+        """Range layout of the given boxes: each box's first target index
+        and its per-axis range widths (int32; 0 on the first axis for an
+        exterior box), and the CSR row pointer of their rectangles."""
+        strides = _strides(self.grid.shape)
         base = np.zeros(rows.size, dtype=np.int32)
         widths = []
-        for axis in range(d):
+        for axis, stride in enumerate(strides):
             lo = np.take(self.jmin[:, axis], rows).astype(np.int32)
             hi = np.take(self.jmax[:, axis], rows).astype(np.int32)
-            base += lo * strides[axis]
+            base += lo * stride
             hi -= lo
             hi += 1
             widths.append(hi)
         widths[0][np.take(self.exterior, rows)] = 0
-        runs = np.ones(rows.size, dtype=np.int32)
+        return base, widths, _indptr(widths)
+
+    def _fill(self, base, widths, indptr):
+        """Indices listing row k's rectangle of a layout, in ravel order,
+        so each row is sorted."""
+        strides = _strides(self.grid.shape)
+        d = len(strides)
+        runs = np.ones(base.size, dtype=np.int32)
         for w in widths[:-1]:
             runs *= w
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(runs * widths[-1], out=indptr[1:], dtype=np.int64)
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
         # row boundaries of runs of about _CHUNK_EDGES edges each
         cuts = np.searchsorted(indptr, np.arange(0, indptr[-1], _CHUNK_EDGES),
                                side="right") - 1
-        for a, b in zip(cuts, np.append(cuts[1:], rows.size)):
+        for a, b in zip(cuts, np.append(cuts[1:], base.size)):
             if a == b:
                 continue
             # a target rectangle is a set of runs of consecutive indices
@@ -104,11 +112,89 @@ class BoxMap:
             fill = indices[indptr[a]:indptr[b]]
             fill[:] = np.repeat(start, length)
             fill += np.arange(fill.size, dtype=np.int32)
+        return indices
+
+    def expand(self, rows):
+        """Targets of the given boxes as CSR arrays (indptr, indices).
+
+        Row k lists the targets of box rows[k].  Indices are int32 and
+        sorted within each row, because each range is enumerated in
+        ravel order; exterior boxes have empty rows.
+        """
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        base, widths, indptr = self._layout(rows)
+        return indptr, self._fill(base, widths, indptr)
+
+    def graph(self, rows):
+        """CSR arrays (indptr, indices) of the digraph of the given boxes
+        in positions of rows, hub nodes numbered after the rows.
+
+        rows must be sorted and forward closed: every target of a row is
+        a row.  When the rows' mean out-degree is at least _HUB_DEGREE,
+        rows with the same target rectangle form a group, and a group of
+        c rows whose rectangle holds s boxes gets a hub iff
+        (c - 1)(s - 1) > 2, that is iff the hub saves nodes plus edges.
+        Each row of the group then holds one edge, to the hub, and the
+        hub's row lists the rectangle.  So a hub links boxes to boxes
+        only, and a box reaches another box iff it does in the box map.
+        Below the gate the rows are those of expand(rows), remapped.
+        """
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        n, m = self.n_boxes, rows.size
+        base, widths, indptr = self._layout(rows)
+        hubs = 0
+        if indptr[-1] >= _HUB_DEGREE * m:
+            size = np.diff(indptr)
+            # a rectangle is named by its first and last target; rows
+            # without targets share one key and never get a hub
+            last = base.astype(np.int64)
+            for w, stride in zip(widths, _strides(self.grid.shape)):
+                last += (w - 1) * np.int64(stride)
+            key = np.where(size > 0, base.astype(np.int64) * n + last, -1)
+            _, first, group, count = np.unique(
+                key, return_index=True, return_inverse=True,
+                return_counts=True)
+            hub = (count - 1) * (size[first] - 1) > 2
+            hubs = int(hub.sum())
+            if hubs:
+                rect = first[hub]
+                hub_base = base[rect]
+                hub_widths = [w[rect] for w in widths]
+                # a member's one target is its hub, written as the index
+                # n + h past the boxes, which the remap sends to m + h
+                member = hub[group]
+                base[member] = n + (np.cumsum(hub) - 1)[group[member]]
+                for w in widths:
+                    w[member] = 1
+                base = np.concatenate((base, hub_base))
+                widths = [np.concatenate(w) for w in zip(widths, hub_widths)]
+                indptr = _indptr(widths)
+        indices = self._fill(base, widths, indptr)
+        if m < n:
+            position = np.empty(n + hubs, dtype=np.int32)
+            position[rows] = np.arange(m, dtype=np.int32)
+            position[n:] = np.arange(m, m + hubs, dtype=np.int32)
+            indices = position[indices]
         return indptr, indices
 
     def targets(self, linear: int) -> np.ndarray:
         """Sorted linearized target indices of a box."""
         return self.expand([int(linear)])[1].astype(np.int64)
+
+
+def _strides(shape):
+    """Linear-index step of one box along each axis (ravel order)."""
+    return [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
+
+
+def _indptr(widths):
+    """CSR row pointer of rectangles with the given per-axis widths."""
+    size = np.ones(widths[0].size, dtype=np.int64)
+    for w in widths:
+        size *= w
+    indptr = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(size, out=indptr[1:])
+    return indptr
 
 
 def _slabs(grid: CubicalGrid):

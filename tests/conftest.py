@@ -26,7 +26,9 @@ def digraph_boxmap(n, edges, depth=None):
 
     Nodes are the first n boxes of a 1-D grid; edges is an iterable of
     (source, target) pairs.  It carries what the graph algorithms read
-    from a box map: grid, n_boxes, exterior and expand(rows).
+    from a box map: grid, n_boxes, exterior, expand(rows) and graph(rows).
+    graph is expand: the stand-in makes no hubs, and it is only used on
+    a single level holding every box, so no remap is needed.
     """
     if depth is None:
         depth = max(1, math.ceil(math.log2(max(n, 2))))
@@ -41,7 +43,25 @@ def digraph_boxmap(n, edges, depth=None):
         return sub.indptr, sub.indices
 
     return SimpleNamespace(grid=grid, n_boxes=n,
-                           exterior=np.zeros(n, dtype=bool), expand=expand)
+                           exterior=np.zeros(n, dtype=bool), expand=expand,
+                           graph=expand)
+
+
+def criterion6_pairs():
+    """The 160 trajectory pairs of acceptance criterion 6, as arrays
+    (xs, ys): 16 Leslie (23.5, 23.5) trajectories of 10 steps each, from
+    seeds uniform in [0, 90] x [0, 70]."""
+    rng = np.random.default_rng(20260826)
+    oracle = LeslieOracle((23.5, 23.5))
+    xs, ys = [], []
+    for _ in range(16):  # D(10, 16): 16 seeds, 10 steps each
+        x = np.array([rng.uniform(0, 90), rng.uniform(0, 70)])
+        for _ in range(10):
+            fx = oracle.eval(x)
+            xs.append(x)
+            ys.append(fx)
+            x = fx
+    return np.array(xs), np.array(ys)
 
 
 def dag_edges(cond):

@@ -35,7 +35,8 @@ from boxdyn import (
     shift_invariant_factors,
 )
 from conftest import (apply_chain_map, boundary_chains, brute_betti,
-                      brute_sccs, digraph_boxmap, rank_mod_p, solve_mod_p)
+                      brute_sccs, criterion6_pairs, digraph_boxmap,
+                      rank_mod_p, solve_mod_p)
 
 
 def report(n, checks):
@@ -354,15 +355,8 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_data_driven_run(self, tmp_path):
-        rng = np.random.default_rng(20260826)
-        oracle = LeslieOracle((23.5, 23.5))
-        rows = []
-        for _ in range(16):  # D(10, 16): 16 seeds, 10 steps each
-            x = np.array([rng.uniform(0, 90), rng.uniform(0, 70)])
-            for _ in range(10):
-                fx = oracle.eval(x)
-                rows.append(f"{x[0]} {x[1]} {fx[0]} {fx[1]}")
-                x = fx
+        rows = [f"{x[0]} {x[1]} {y[0]} {y[1]}"
+                for x, y in zip(*criterion6_pairs())]
         data_path = tmp_path / "leslie_pairs.txt"
         data_path.write_text("trajectory-pairs v1\n" + "\n".join(rows) + "\n")
         cfg_path = tmp_path / "cfg.json"

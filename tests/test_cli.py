@@ -231,8 +231,10 @@ class TestAnalyzeCommand:
         graph = manifest["graph"]
         bm = build_boxmap(CubicalGrid(PhaseSpace([-2.0], [2.0]), [6]),
                           PiecewiseExample1D(1.5), 1e-3)
+        edges = bm.total_edges()
         assert graph["levels"] == [{"shape": [64], "candidate_boxes": 64,
-                                    "candidate_edges": bm.total_edges()}]
+                                    "candidate_edges": edges,
+                                    "graph_edges": edges, "hub_nodes": 0}]
         assert graph["recurrent_boxes"] == sum(r.size for r in mg.regions) > 0
 
         monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 8)
@@ -247,6 +249,8 @@ class TestAnalyzeCommand:
         for lv in levels["levels"]:
             assert 0 < lv["candidate_boxes"] <= lv["shape"][0]
             assert lv["candidate_edges"] > 0
+            assert lv["graph_edges"] == lv["candidate_edges"]
+            assert lv["hub_nodes"] == 0
         assert levels["recurrent_boxes"] == sum(len(nd["region"])
                                                 for nd in doc["nodes"])
         assert levels["recurrent_boxes"] == graph["recurrent_boxes"]
@@ -300,6 +304,19 @@ class TestAnalyzeCommand:
         stamp = caches[0].stat().st_mtime_ns
         assert main(["analyze", "--config", str(cfg_path)]) == 0
         assert caches[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
+
+    def test_cache_reused_across_primes(self, tmp_path):
+        """The box map does not depend on the prime, so a run that
+        changes only the prime reads the cache the first run wrote."""
+        cfg_path = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path)]) == 0
+        assert main(["analyze", "--config", str(cfg_path),
+                     "--prime", "7"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["prime"] == 7
+        assert "boxmap_cache_write_s" not in manifest["timings"]
+        assert len(list(out.glob("boxmap_*.npz"))) == 1
 
     def test_cache_is_written_uncompressed(self, tmp_path):
         """The cache is written with np.savez: zlib at 2^21 boxes took

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from boxdyn import (
     CallableOracle,
     CubicalGrid,
     LeslieOracle,
+    LipschitzDataOracle,
     NodeNotRecurrent,
     PhaseSpace,
     PiecewiseExample1D,
@@ -19,12 +21,12 @@ from boxdyn import (
     morse_graph,
     verify_attracting_block,
 )
-from boxdyn import graph_dynamics
+from boxdyn import graph_dynamics, outer_approx
 from boxdyn.graph_dynamics import morse_graph_from_jsonable
 from boxdyn.outer_approx import BoxMap
 
-from conftest import (brute_sccs, dag_edges, digraph_boxmap,
-                      reachability_closure)
+from conftest import (brute_sccs, criterion6_pairs, dag_edges,
+                      digraph_boxmap, reachability_closure)
 
 
 class TestCondensation:
@@ -200,22 +202,38 @@ class TestPyramid:
                     assert coarse.jmax[p].tolist() == hi.tolist()
 
     def test_random_rectangle_maps(self, rng, monkeypatch):
-        pruned = 0
+        """Under the hub gate, where these maps of mean out-degree at most
+        8 make no hub, and with the gate forced open."""
+        for gate in (outer_approx._HUB_DEGREE, 0):
+            with monkeypatch.context() as m:
+                m.setattr(outer_approx, "_HUB_DEGREE", gate)
+                pruned, hubs = self.check_random_rectangle_maps(rng,
+                                                                monkeypatch)
+            assert pruned >= 20  # the coarse levels left boxes out
+            assert (hubs > 0) == (gate == 0)
+
+    @staticmethod
+    def check_random_rectangle_maps(rng, monkeypatch):
+        """Compare the pyramid with one level and with brute force on 60
+        random maps; return how many left boxes out and the hubs made."""
+        pruned = hubs = 0
         for depths in ((6,), (3, 3), (2, 2, 2), (4, 2)):
             for _ in range(15):
                 bm = random_rect_boxmap(rng, depths)
                 ref = one_level(monkeypatch, bm)
-                monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 2)
-                cond = condensation(bm)
-                monkeypatch.undo()
+                with monkeypatch.context() as m:
+                    m.setattr(graph_dynamics, "_COARSEST_BOXES", 2)
+                    cond = condensation(bm)
                 assert len(cond.levels) >= 3
                 assert cond.levels[-1]["candidate_boxes"] == \
                     cond.candidates.size
                 pruned += cond.candidates.size < bm.n_boxes
+                hubs += sum(lv["hub_nodes"] for lv in cond.levels)
                 assert_same_graph(cond, ref)
 
                 n = bm.n_boxes
                 indptr, targets = bm.expand(np.arange(n))
+                assert ref.levels[0]["candidate_edges"] == targets.size
                 edges = list(zip(np.repeat(np.arange(n),
                                            np.diff(indptr)).tolist(),
                                  targets.tolist()))
@@ -230,21 +248,70 @@ class TestPyramid:
                     reach[cid] = True
                     assert downset(cond, cid).tolist() == \
                         np.flatnonzero(reach).tolist()
-        assert pruned >= 20  # the coarse levels left boxes out
+        return pruned, hubs
 
     def test_leslie_depth7(self, monkeypatch):
+        """The Leslie map stays below the hub gate at every level; with
+        the gate forced open its hubs leave the graph as it was."""
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [7, 7])
         bm = build_boxmap(grid, LeslieOracle((23.5, 23.5)), 0.03)
         ref = one_level(monkeypatch, bm)
+        for gate in (outer_approx._HUB_DEGREE, 0):
+            monkeypatch.setattr(outer_approx, "_HUB_DEGREE", gate)
+            cond = condensation(bm)
+            assert [lv["shape"] for lv in cond.levels] == [[64, 64],
+                                                           [128, 128]]
+            assert cond.graph.data.strides == (0,)  # no weight stored per edge
+            assert_same_graph(cond, ref)
+            with monkeypatch.context() as m:
+                m.setattr(graph_dynamics, "_COARSEST_BOXES", 16)
+                cond6 = condensation(bm)
+            assert len(cond6.levels) == 6
+            assert cond6.candidates.size < bm.n_boxes
+            assert_same_graph(cond6, ref)
+            hubs = [lv["hub_nodes"] for lv in cond.levels + cond6.levels]
+            if gate:
+                assert hubs == [0] * 8
+            else:
+                assert sum(hubs) > 0
+
+
+class TestHubs:
+    def test_complete_graph_goes_through_one_hub(self):
+        """Every box of a (4, 5) grid targets the whole grid: one hub
+        holds the 512 * 512 box edges in 1,024 stored ones."""
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [4, 5])
+        n = grid.box_count
+        bm = BoxMap(grid, jmin=np.zeros((n, 2), dtype=np.int32),
+                    jmax=np.tile(np.array(grid.shape, dtype=np.int32) - 1,
+                                 (n, 1)),
+                    exterior=np.zeros(n, dtype=bool))
         cond = condensation(bm)
-        assert [lv["shape"] for lv in cond.levels] == [[64, 64], [128, 128]]
-        assert cond.graph.data.strides == (0,)  # no weight stored per edge
-        assert_same_graph(cond, ref)
-        monkeypatch.setattr(graph_dynamics, "_COARSEST_BOXES", 16)
-        cond = condensation(bm)
-        assert len(cond.levels) == 6
-        assert cond.candidates.size < bm.n_boxes
-        assert_same_graph(cond, ref)
+        assert cond.levels == [{"shape": [16, 32], "candidate_boxes": 512,
+                                "candidate_edges": 512 * 512,
+                                "graph_edges": 1024, "hub_nodes": 1}]
+        assert cond.recurrent.tolist() == [0]
+        assert cond.members(0).tolist() == list(range(512))
+        assert downset(cond, 0).tolist() == list(range(512))
+        mg = morse_graph(cond)
+        assert mg.component_ids == [0] and mg.order == set()
+
+    def test_data_oracle_graph_stage_memory(self):
+        """Criterion 6's data run at 2^12 boxes stands for 16.4 M box
+        edges; through hubs the graph stage's traced peak stays a few MB
+        (188 MB when every edge was stored)."""
+        xs, ys = criterion6_pairs()
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [6, 6])
+        bm = build_boxmap(grid, LipschitzDataOracle(xs, ys, 34.0), 0.1)
+        tracemalloc.start()
+        try:
+            cond = condensation(bm)
+            mg = morse_graph(cond)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mg.nodes
+        assert peak < 32 << 20
 
 
 class TestDownsetAndIndexPair:

@@ -10,19 +10,19 @@ boxes.  A coarse box's range is the hull of its non-exterior children's
 ranges, shifted down one level, so a fine edge a -> b gives the coarse
 edge parent(a) -> parent(b).  Going from the coarsest level to the
 finest, each level expands only its candidate boxes (all boxes at the
-coarsest level) into a CSR graph (BoxMap.graph), in which the boxes
-sharing a wide target rectangle may reach it through one hub node.  A
-hub is not a box: it links boxes to boxes, and is dropped from every
-label, closure and downset.  scipy's strongly connected
-components give its recurrent boxes; a breadth-first search gives the
-forward closure D of those boxes, and the children of D are the next
-level's candidates.  A fine box reachable from a fine cycle lies under
-D, so the candidates hold the union of the fine downsets and every edge
-out of it.  The SCCs, the recurrent components and every downset of
-the candidate graph are therefore those of the whole grid; a box
-outside the candidates is a non-recurrent singleton.  A breadth-first
-search on the finest candidate graph gives each downset and, with it,
-the Morse order.
+coarsest level) into a CSR graph (BoxMap.graph), which may hold hub
+nodes, numbered after the boxes, and which comes with the level's box
+edge count and self-loops.  A hub is not a box: it links boxes to
+boxes, and is dropped from every label, closure and downset.  scipy's
+strongly connected components give its recurrent boxes; a
+breadth-first search gives the forward closure D of those boxes, and
+the children of D are the next level's candidates.  A fine box
+reachable from a fine cycle lies under D, so the candidates hold the
+union of the fine downsets and every edge out of it.  The SCCs, the
+recurrent components and every downset of the candidate graph are
+therefore those of the whole grid; a box outside the candidates is a
+non-recurrent singleton.  A breadth-first search on the finest
+candidate graph gives each downset and, with it, the Morse order.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class Condensation:
     recurrent box reaches, and graph is the box map's CSR graph on them,
     in positions of candidates, with its hub nodes after them.  levels
     records, coarsest first, each level's grid shape, its candidate
-    boxes, the edges of the box graph on them, the edges stored and the
-    hub nodes.
+    boxes, the edges of the box graph on them (as BoxMap.graph counts
+    them from the ranges), the edges stored and the hub nodes.
     """
 
     def __init__(self, boxmap: BoxMap, comp_of: np.ndarray,
@@ -141,20 +141,6 @@ def _graph(indptr, indices) -> csr_matrix:
     return csr_matrix((ones, indices, indptr), shape=(m, m))
 
 
-def _box_edges(graph: csr_matrix, m: int) -> int:
-    """Edges of the box graph that graph stands for, its first m nodes
-    being boxes: a hub with c in-edges and s out-edges stands for c * s
-    box edges.  A hub's in-edges are the one edge of each of its rows."""
-    indptr, indices = graph.indptr, graph.indices
-    if graph.shape[0] == m:
-        return int(graph.nnz)
-    one = np.flatnonzero(np.diff(indptr[:m + 1]) == 1)
-    to = indices[indptr[one]]
-    c = np.bincount(to[to >= m] - m, minlength=graph.shape[0] - m)
-    s = np.diff(indptr[m:])
-    return int(graph.nnz - c.sum() - s.sum() + c @ s)
-
-
 def _forward_closure(graph: csr_matrix, seeds: np.ndarray,
                      m: int) -> np.ndarray:
     """Sorted nodes below m reachable from the seeds, seeds included:
@@ -171,12 +157,10 @@ def _forward_closure(graph: csr_matrix, seeds: np.ndarray,
 def condensation(boxmap: BoxMap) -> Condensation:
     """SCC decomposition of a box map.
 
-    A component is recurrent when it has at least two nodes, hubs
-    counted, or a self-loop on the diagonal.  A hub (BoxMap.graph)
-    links boxes to boxes only, so no component is hubs alone but for a
-    lone hub, and a component of one box and a hub is that box's
-    self-loop through its own target rectangle.  The SCCs are computed
-    level by level on the candidate boxes of a pyramid (see the module
+    A component is recurrent when it holds two boxes or a box with a
+    self-loop (BoxMap.graph reports both the self-loops and the hubs,
+    its nodes from the candidate count on).  The SCCs are computed level
+    by level on the candidate boxes of a pyramid (see the module
     docstring); a grid of at most _COARSEST_BOXES boxes is a single
     level holding every box.
     """
@@ -187,16 +171,17 @@ def condensation(boxmap: BoxMap) -> Condensation:
     records = []
     for k in reversed(range(len(levels))):
         m = candidates.size
-        graph = _graph(*levels[k].graph(candidates))
+        indptr, indices, box_edges, self_loops = levels[k].graph(candidates)
+        graph = _graph(indptr, indices)
         records.append({"shape": list(levels[k].grid.shape),
                         "candidate_boxes": int(m),
-                        "candidate_edges": _box_edges(graph, m),
+                        "candidate_edges": box_edges,
                         "graph_edges": int(graph.nnz),
                         "hub_nodes": int(graph.shape[0] - m)})
         n_comp, label = connected_components(graph, directed=True,
                                              connection="strong")
-        recurrent = np.bincount(label, minlength=n_comp) >= 2
-        recurrent[label[graph.diagonal() != 0]] = True
+        recurrent = np.bincount(label[:m], minlength=n_comp) >= 2
+        recurrent[label[:m][self_loops]] = True
         if k == 0:
             break
         closure = _forward_closure(graph, np.flatnonzero(recurrent[label]), m)

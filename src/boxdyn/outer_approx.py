@@ -13,7 +13,9 @@ gives the digraph of a forward-closed set of boxes in their positions.
 When the boxes' mean out-degree is high (a data oracle's wide
 rectangles), boxes sharing one target rectangle reach it through one
 hub node, numbered after the boxes, so the graph grows with the boxes
-plus their distinct rectangles, not with the rectangles' areas.  Both
+plus their distinct rectangles, not with the rectangles' areas.  It
+also reports, from the ranges, the box graph's edge count and which
+boxes target themselves, so no caller reads the hub layout.  Both
 methods lay out the ranges once and fill them by one routine.
 Boxes whose inflated enclosure misses the phase space entirely are
 flagged exterior and get no targets: escape is data, not failure.
@@ -33,6 +35,8 @@ _CHUNK_EDGES = 1 << 16
 # out-degree: Leslie maps stay below it (3 to 33 up to 2^24 boxes),
 # data-oracle maps are far above it (512 at 2^9, 4,002 at 2^12)
 _HUB_DEGREE = 64
+# BoxMap.graph remaps its indices in place, this many per step (no copy)
+_REMAP_CHUNK = 1 << 22
 # build_boxmap asks the oracle for slabs of about this many boxes, whole
 # layers along the first axis, so the temporaries of one call stay small
 _SLAB_BOXES = 1 << 16
@@ -62,19 +66,23 @@ class BoxMap:
     def _layout(self, rows):
         """Range layout of the given boxes: each box's first target index
         and its per-axis range widths (int32; 0 on the first axis for an
-        exterior box), and the CSR row pointer of their rectangles."""
-        strides = _strides(self.grid.shape)
+        exterior box), the CSR row pointer of their rectangles, and a
+        mask of the boxes that target themselves."""
+        exterior = np.take(self.exterior, rows)
         base = np.zeros(rows.size, dtype=np.int32)
+        self_loops = ~exterior
+        own = np.unravel_index(rows, self.grid.shape)
         widths = []
-        for axis, stride in enumerate(strides):
+        for axis, stride in enumerate(_strides(self.grid.shape)):
             lo = np.take(self.jmin[:, axis], rows).astype(np.int32)
             hi = np.take(self.jmax[:, axis], rows).astype(np.int32)
+            self_loops &= (lo <= own[axis]) & (own[axis] <= hi)
             base += lo * stride
             hi -= lo
             hi += 1
             widths.append(hi)
-        widths[0][np.take(self.exterior, rows)] = 0
-        return base, widths, _indptr(widths)
+        widths[0][exterior] = 0
+        return base, widths, _indptr(widths), self_loops
 
     def _fill(self, base, widths, indptr):
         """Indices listing row k's rectangle of a layout, in ravel order,
@@ -122,12 +130,14 @@ class BoxMap:
         ravel order; exterior boxes have empty rows.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        base, widths, indptr = self._layout(rows)
+        base, widths, indptr, _ = self._layout(rows)
         return indptr, self._fill(base, widths, indptr)
 
     def graph(self, rows):
-        """CSR arrays (indptr, indices) of the digraph of the given boxes
-        in positions of rows, hub nodes numbered after the rows.
+        """The digraph of the given boxes in positions of rows, as
+        (indptr, indices, box_edges, self_loops): CSR arrays whose hub
+        nodes are numbered after the rows, the number of edges of the
+        box graph on rows, and a mask of the rows that target themselves.
 
         rows must be sorted and forward closed: every target of a row is
         a row.  When the rows' mean out-degree is at least _HUB_DEGREE,
@@ -141,9 +151,10 @@ class BoxMap:
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         n, m = self.n_boxes, rows.size
-        base, widths, indptr = self._layout(rows)
+        base, widths, indptr, self_loops = self._layout(rows)
+        box_edges = int(indptr[-1])
         hubs = 0
-        if indptr[-1] >= _HUB_DEGREE * m:
+        if box_edges >= _HUB_DEGREE * m:
             size = np.diff(indptr)
             # a rectangle is named by its first and last target; rows
             # without targets share one key and never get a hub
@@ -174,8 +185,10 @@ class BoxMap:
             position = np.empty(n + hubs, dtype=np.int32)
             position[rows] = np.arange(m, dtype=np.int32)
             position[n:] = np.arange(m, m + hubs, dtype=np.int32)
-            indices = position[indices]
-        return indptr, indices
+            for a in range(0, indices.size, _REMAP_CHUNK):
+                chunk = indices[a:a + _REMAP_CHUNK]
+                chunk[:] = position[chunk]
+        return indptr, indices, box_edges, self_loops
 
     def targets(self, linear: int) -> np.ndarray:
         """Sorted linearized target indices of a box."""

@@ -27,8 +27,9 @@ def digraph_boxmap(n, edges, depth=None):
     Nodes are the first n boxes of a 1-D grid; edges is an iterable of
     (source, target) pairs.  It carries what the graph algorithms read
     from a box map: grid, n_boxes, exterior, expand(rows) and graph(rows).
-    graph is expand: the stand-in makes no hubs, and it is only used on
-    a single level holding every box, so no remap is needed.
+    graph is expand plus the rows' edge count and self-loops: the
+    stand-in makes no hubs, and it is only used on a single level
+    holding every box, so no remap is needed.
     """
     if depth is None:
         depth = max(1, math.ceil(math.log2(max(n, 2))))
@@ -42,9 +43,13 @@ def digraph_boxmap(n, edges, depth=None):
         sub = adj[np.asarray(rows, dtype=np.int64)]
         return sub.indptr, sub.indices
 
+    def graph(rows):
+        indptr, indices = expand(rows)
+        return indptr, indices, int(indptr[-1]), adj.diagonal()[rows] != 0
+
     return SimpleNamespace(grid=grid, n_boxes=n,
                            exterior=np.zeros(n, dtype=bool), expand=expand,
-                           graph=expand)
+                           graph=graph)
 
 
 def criterion6_pairs():

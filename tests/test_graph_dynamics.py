@@ -296,22 +296,48 @@ class TestHubs:
         mg = morse_graph(cond)
         assert mg.component_ids == [0] and mg.order == set()
 
+    def test_self_loop_through_a_hub(self, monkeypatch):
+        """Boxes 0 and 5 of a 1-D grid of 8 share the rectangle [0, 3]
+        through one hub; every other box targets box 7.  Box 0 reaches
+        itself only through the hub, box 5 not at all."""
+        monkeypatch.setattr(outer_approx, "_HUB_DEGREE", 0)
+        grid = CubicalGrid(PhaseSpace([0.0], [8.0]), [3])
+        jmin = np.full((8, 1), 7, dtype=np.int32)
+        jmax = np.full((8, 1), 7, dtype=np.int32)
+        jmin[[0, 5]], jmax[[0, 5]] = 0, 3
+        bm = BoxMap(grid, jmin=jmin, jmax=jmax,
+                    exterior=np.zeros(8, dtype=bool))
+        cond = condensation(bm)
+        assert cond.levels == [{"shape": [8], "candidate_boxes": 8,
+                                "candidate_edges": 14, "graph_edges": 12,
+                                "hub_nodes": 1}]
+        assert cond.recurrent.tolist() == [0, 7]
+        assert cond.members(0).tolist() == [0]
+        assert not cond.is_recurrent(cond.component_of(5))
+        mg = morse_graph(cond)
+        assert mg.component_ids == [0, 7] and mg.order == {(1, 0)}
+
     def test_data_oracle_graph_stage_memory(self):
         """Criterion 6's data run at 2^12 boxes stands for 16.4 M box
         edges; through hubs the graph stage's traced peak stays a few MB
-        (188 MB when every edge was stored)."""
+        (188 MB when every edge was stored).  At 2^14 boxes it stays
+        under 48 MiB, with no array of one entry per stored edge beside
+        the graph's indices (86 MiB when self-loops were read from the
+        CSR diagonal)."""
         xs, ys = criterion6_pairs()
-        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [6, 6])
-        bm = build_boxmap(grid, LipschitzDataOracle(xs, ys, 34.0), 0.1)
-        tracemalloc.start()
-        try:
-            cond = condensation(bm)
-            mg = morse_graph(cond)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert mg.nodes
-        assert peak < 32 << 20
+        oracle = LipschitzDataOracle(xs, ys, 34.0)
+        for depths, bound in (((6, 6), 32 << 20), ((7, 7), 48 << 20)):
+            grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), depths)
+            bm = build_boxmap(grid, oracle, 0.1)
+            tracemalloc.start()
+            try:
+                cond = condensation(bm)
+                mg = morse_graph(cond)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert mg.nodes
+            assert peak < bound, depths
 
 
 class TestDownsetAndIndexPair:

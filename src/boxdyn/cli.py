@@ -46,6 +46,14 @@ _UNREADABLE = (OSError, EOFError, KeyError, ValueError, NotImplementedError,
                zipfile.BadZipFile, zlib.error)
 
 
+def _number(value, what: str):
+    """value if it is a JSON number; ConfigError for a bool, a text or
+    any other type, which is never converted to fit."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 @dataclass
 class AnalysisConfig:
     lower: list
@@ -64,13 +72,13 @@ class AnalysisConfig:
                for d in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got "
                               f"{self.depths}")
+        for v in [*self.lower, *self.upper]:
+            _number(v, "a domain bound")
         if any(not lo < up for lo, up in zip(self.lower, self.upper)):
             raise ConfigError("domain lower bounds must be below upper bounds")
         if not all(map(math.isfinite, [*self.lower, *self.upper])):
             raise ConfigError("domain bounds must be finite")
-        if isinstance(self.rho, bool) or not isinstance(self.rho, (int, float)):
-            raise ConfigError(f"rho must be a number, got {self.rho!r}")
-        self.rho = float(self.rho)
+        self.rho = float(_number(self.rho, "rho"))
         if not self.rho >= 0:
             raise ConfigError("rho must be nonnegative")
         try:
@@ -237,17 +245,20 @@ def build_oracle(cfg: AnalysisConfig):
     kind = spec["type"]
     try:
         if kind == "leslie":
-            theta = tuple(spec.get("theta", [23.5, 23.5]))
+            theta = spec.get("theta", [23.5, 23.5])
             if len(theta) != 2:
                 raise ConfigError(f"leslie theta needs two values, got {theta}")
-            return LeslieOracle(theta)
+            return LeslieOracle(tuple(_number(t, "leslie theta")
+                                      for t in theta))
         if kind == "piecewise1d":
-            return PiecewiseExample1D(float(spec["theta"]))
+            return PiecewiseExample1D(
+                float(_number(spec["theta"], "piecewise1d theta")))
         if kind == "mlp":
             return load_mlp_weights(spec["weights"])
         if kind == "data":
-            return load_trajectory_data(spec["samples"],
-                                        float(spec["lipschitz"]))
+            return load_trajectory_data(
+                spec["samples"],
+                float(_number(spec["lipschitz"], "data lipschitz")))
     except KeyError as e:
         raise ConfigError(f"{kind} oracle spec missing field {e}") from e
     except (TypeError, ValueError) as e:
@@ -261,7 +272,8 @@ def _load_boxmap(path, grid: CubicalGrid) -> BoxMap:
     """The box map stored at path.  ValueError if the arrays are not a
     box map on grid: integer ranges of shape (n, d) that lie on the grid
     for every non-exterior box, and a bool exterior flag of shape (n,)."""
-    with np.load(path) as z:
+    # np.load given a path leaves the file open when it cannot parse it
+    with open(path, "rb") as fh, np.load(fh) as z:
         jmin, jmax, exterior = z["jmin"], z["jmax"], z["exterior"]
     shape = (grid.box_count, grid.dimension)
     if not (jmin.dtype.kind in "iu" and jmax.dtype.kind in "iu"

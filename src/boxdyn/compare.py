@@ -14,31 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatch
 from .graph_dynamics import MorseGraph
-
-
-def _refinement_shifts(fine: MorseGraph, coarse: MorseGraph) -> np.ndarray:
-    fg, cg = fine.grid, coarse.grid
-    if fg.space != cg.space:
-        raise GridMismatch("fine and coarse grids cover different phase spaces")
-    shifts = []
-    for df, dc in zip(fg.subdivisions, cg.subdivisions):
-        if df < dc:
-            raise GridMismatch(
-                "fine grid must subdivide at least as deeply as the coarse "
-                f"grid on every axis (got {fg.subdivisions} vs {cg.subdivisions})"
-            )
-        shifts.append(df - dc)
-    return np.array(shifts, dtype=np.int64)
-
-
-def coarsen_boxes(fine: MorseGraph, coarse: MorseGraph, boxes) -> np.ndarray:
-    """Coarse boxes containing the given fine boxes; exact index shifts."""
-    shifts = _refinement_shifts(fine, coarse)
-    mi = np.unravel_index(np.atleast_1d(boxes), fine.grid.shape)
-    cmi = tuple(j >> s for j, s in zip(mi, shifts))
-    return np.unique(np.ravel_multi_index(cmi, coarse.grid.shape))
 
 
 class NuMap:
@@ -83,12 +59,12 @@ def morse_tiles(graph: MorseGraph) -> dict:
 
 def project(fine: MorseGraph, coarse: MorseGraph) -> NuMap:
     """Map each fine node to the coarse node whose tile holds its region."""
-    _refinement_shifts(fine, coarse)
+    fine.grid.refinement(coarse.grid)  # GridMismatch unless they nest
     tiles = morse_tiles(coarse)
     assignment = {}
     straddles = []
     for q in fine.nodes:
-        cboxes = coarsen_boxes(fine, coarse, fine.region_of(q))
+        cboxes = np.unique(fine.grid.parents(fine.region_of(q), coarse.grid))
         candidates = [m for m in coarse.nodes if tiles[m][cboxes].all()]
         if len(candidates) == 1:
             assignment[q] = candidates[0]

@@ -118,20 +118,6 @@ def _coarsen(bm: BoxMap) -> BoxMap:
                   jmax=hi.reshape(d, -1).T, exterior=ext.reshape(-1))
 
 
-def _children(coarse: CubicalGrid, fine: CubicalGrid, boxes: np.ndarray):
-    """Sorted boxes of the fine grid that lie in the given coarse boxes."""
-    strides = [int(np.prod(fine.shape[i + 1:])) for i in range(fine.dimension)]
-    base = np.zeros(boxes.size, dtype=np.int64)
-    offsets = np.zeros(1, dtype=np.int64)
-    for k, j in enumerate(np.unravel_index(boxes, coarse.shape)):
-        if fine.shape[k] > coarse.shape[k]:
-            base += (2 * strides[k]) * j
-            offsets = np.concatenate((offsets, offsets + strides[k]))
-        else:
-            base += strides[k] * j
-    return np.sort((base[:, None] + offsets).reshape(-1))
-
-
 def _graph(indptr, indices) -> csr_matrix:
     """Square CSR graph with the given rows.  csgraph reads only the
     pattern, so every entry is one shared read-only 1.0 (a zero-stride
@@ -185,8 +171,8 @@ def condensation(boxmap: BoxMap) -> Condensation:
         if k == 0:
             break
         closure = _forward_closure(graph, np.flatnonzero(recurrent[label]), m)
-        candidates = _children(levels[k].grid, levels[k - 1].grid,
-                               candidates[closure])
+        candidates = levels[k].grid.children(candidates[closure],
+                                             levels[k - 1].grid)
     # each component is named by its smallest member box; hubs, the
     # nodes from m on, are not boxes
     label = label[:m]
@@ -359,15 +345,22 @@ def morse_graph(cond: Condensation) -> MorseGraph:
     return MorseGraph(boxmap.grid, comp_ids, regions, downsets, order)
 
 
+def _is_int(v) -> bool:
+    """Whether a JSON value is an integer: not a bool, not a float."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     """Rebuild a MorseGraph, Conley indices included, from its JSON.
 
     Downsets are not stored, so the rebuilt graph has none and
     downset_of raises (the JSON document is a record of nodes, order,
     and regions).  BoxdynError if node ids are not their positions
-    0..m-1, a region box is off the grid or in the regions of two nodes,
-    a region is empty or its smallest box is not its node's component,
-    an order pair does not name two distinct nodes, or the order is not
+    0..m-1, a region box is not an integer, is off the grid or is in the
+    regions of two nodes, a region is empty or its smallest box is not
+    its node's component, an order pair does not name two distinct
+    nodes (ids, components and order entries are integers, never
+    floats or bools), or the order is not
     the full reachability order morse_graph writes: antisymmetric and
     transitively closed, which hasse_edges assumes.
     """
@@ -378,13 +371,13 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     grid = CubicalGrid(PhaseSpace(g["lower"], g["upper"]), g["subdivisions"])
     nodes = doc["nodes"]
     ids = [nd["id"] for nd in nodes]
-    if ids != list(range(len(nodes))):
+    # 0.0 == 0 and False == 0, so the types are checked too
+    if ids != list(range(len(nodes))) or not all(map(_is_int, ids)):
         raise BoxdynError(f"Morse graph record: node ids {ids} are not "
                           f"0..{len(nodes) - 1} in order")
     for p in doc["order"]:
         if (len(p) != 2 or p[0] == p[1]
-                or not all(isinstance(v, int) and 0 <= v < len(nodes)
-                           for v in p)):
+                or not all(_is_int(v) and 0 <= v < len(nodes) for v in p)):
             raise BoxdynError(f"Morse graph record: order pair {p} does not "
                               f"name two distinct nodes of {len(nodes)}")
     above = {}  # node -> the nodes above it
@@ -410,7 +403,7 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
         if not r.size:
             raise BoxdynError(f"Morse graph record: node {nd['id']} has an "
                               "empty region")
-        if nd["component"] != r.min():
+        if not _is_int(nd["component"]) or nd["component"] != r.min():
             raise BoxdynError(f"Morse graph record: node {nd['id']} has "
                               f"component {nd['component']}, not its region's "
                               f"smallest box {r.min()}")

@@ -3,6 +3,8 @@
 A grid subdivides each axis of the phase-space rectangle into 2**depth
 equal intervals.  Boxes are addressed by integer multi-indices (tuples),
 or equivalently by a single linearized index in C (lexicographic) order.
+CubicalGrid alone works out that numbering, and the dyadic parents and
+children of boxes between nested grids.
 All intersection predicates treat boxes as closed sets; points that fall
 exactly on a shared face belong to the lexicographically smallest box.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxdynError, PointOutsideDomain
+from .errors import BoxdynError, GridMismatch, PointOutsideDomain
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,10 @@ class CubicalGrid:
         if any(s < 0 for s in self.subdivisions):
             raise ValueError("subdivision depths must be nonnegative")
         self.shape = tuple(1 << s for s in self.subdivisions)
+        # axis i's index starts at bit _shifts[i] of a linear index
+        self._shifts = tuple(sum(self.subdivisions[i + 1:])
+                             for i in range(len(self.subdivisions)))
+        self.strides = tuple(1 << s for s in self._shifts)
         self.widths = (space.upper - space.lower) / np.asarray(self.shape, dtype=float)
         # faces[i] has shape (n_i + 1,) with exact domain endpoints
         self.faces = [
@@ -117,16 +123,61 @@ class CubicalGrid:
         return tuple(int(v) for v in np.unravel_index(int(linear), self.shape))
 
     def box_indices(self, boxes) -> np.ndarray:
-        """Linear box indices as an int64 array; BoxdynError if one lies
-        outside [0, box_count)."""
+        """Linear box indices as an int64 array; BoxdynError if one is
+        not an integer (a float or a bool is not cast) or lies outside
+        [0, box_count)."""
         if not isinstance(boxes, np.ndarray):
             boxes = list(boxes)
-        boxes = np.asarray(boxes, dtype=np.int64).reshape(-1)
+            # numpy reads [1, True] as integers, so bools are found here
+            if any(isinstance(b, (bool, np.bool_)) for b in boxes):
+                raise BoxdynError(f"box indices {boxes} hold a bool")
+        boxes = np.asarray(boxes).reshape(-1)
+        if boxes.size and boxes.dtype.kind not in "iu":
+            raise BoxdynError(f"box indices of type {boxes.dtype} are not "
+                              "integers")
+        boxes = boxes.astype(np.int64, copy=False)
         if boxes.size and not 0 <= boxes.min() <= boxes.max() < self.box_count:
             bad = boxes[(boxes < 0) | (boxes >= self.box_count)][0]
             raise BoxdynError(f"box index {bad} is outside the grid of "
                               f"{self.box_count} boxes")
         return boxes
+
+    def axis_indices(self, boxes):
+        """Per-axis indices of linear box indices, as np.unravel_index
+        gives them, by one shift and one mask per axis (exact: every
+        axis has 2**depth boxes)."""
+        return tuple((np.asarray(boxes) >> s) & (n - 1)
+                     for s, n in zip(self._shifts, self.shape))
+
+    def refinement(self, coarse: "CubicalGrid") -> list:
+        """Depths by which this grid subdivides the coarse one per axis;
+        GridMismatch unless every coarse box is a union of its boxes."""
+        depths = [f - c for f, c in zip(self.subdivisions, coarse.subdivisions)]
+        if self.space != coarse.space:
+            raise GridMismatch(
+                "fine and coarse grids cover different phase spaces")
+        if min(depths) < 0:
+            raise GridMismatch(
+                "fine grid must subdivide at least as deeply as the coarse "
+                f"grid on every axis (got {self.subdivisions} vs "
+                f"{coarse.subdivisions})")
+        return depths
+
+    def parents(self, boxes, coarse: "CubicalGrid") -> np.ndarray:
+        """The coarse box holding each box; GridMismatch unless they nest."""
+        return sum((j >> r) << s for j, r, s in zip(
+            self.axis_indices(boxes), self.refinement(coarse), coarse._shifts))
+
+    def children(self, boxes, fine: "CubicalGrid") -> np.ndarray:
+        """Sorted boxes of the fine grid inside the given boxes of this
+        grid; GridMismatch unless the grids nest."""
+        base = np.zeros(np.size(boxes), dtype=np.int64)
+        offsets = np.zeros(1, dtype=np.int64)
+        for j, r, stride in zip(self.axis_indices(boxes),
+                                fine.refinement(self), fine.strides):
+            base += (j << r) * stride
+            offsets = np.add.outer(offsets, stride * np.arange(1 << r)).ravel()
+        return np.sort((base[:, None] + offsets).ravel())
 
     def box_containing(self, point):
         """Multi-index of the box containing a point of X.

@@ -185,11 +185,9 @@ class PairComplex:
         region = np.flatnonzero(state == 1)
 
         d = grid.dimension
-        shape = [int(s) for s in grid.shape]
-        self._vshape = tuple(s + 1 for s in shape)
+        self._vshape = tuple(s + 1 for s in grid.shape)
         self._vstrides = [int(np.prod(self._vshape[i + 1:])) for i in range(d)]
         self._n_vertices = nv = int(np.prod(self._vshape))
-        bstrides = [int(np.prod(shape[i + 1:])) for i in range(d)]
         # bits[k, i] = bit i of k, for k < 2^d
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
         popcount = bits.sum(axis=1)
@@ -200,8 +198,8 @@ class PairComplex:
         o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
         offset = ((popcount[m] * nv + bits[o] @ self._vstrides) << d) + m
         vertex = np.zeros(region.size, dtype=np.int64)
-        for i in range(d):
-            vertex += region // bstrides[i] % shape[i] * self._vstrides[i]
+        for j, vstride in zip(grid.axis_indices(region), self._vstrides):
+            vertex += j * vstride
         codes = np.sort(((vertex << d) + offset[:, None]).ravel())
         new = np.ones(codes.size, dtype=bool)
         np.not_equal(codes[1:], codes[:-1], out=new[1:])
@@ -218,16 +216,16 @@ class PairComplex:
         below, above = [], []
         for i in range(d):
             a = lin // self._vstrides[i] % self._vshape[i]
-            base += a * bstrides[i]
+            base += a * grid.strides[i]
             below.append((a > 0) & (((mask >> i) & 1) == 0))
-            above.append(a < shape[i])
+            above.append(a < grid.shape[i])
         slots = np.empty((1 << d, n), dtype=np.int64)
         seen = np.zeros(n, dtype=np.int8)  # OR of the coface states
         for k in range(1 << d):
             present = below[0] if k & 1 else above[0]
             for i in range(1, d):
                 present = present & (below[i] if (k >> i) & 1 else above[i])
-            slots[k] = np.where(present, base - int(bits[k] @ bstrides), -1)
+            slots[k] = np.where(present, base - int(bits[k] @ grid.strides), -1)
             seen |= state[slots[k]]
         self.cofaces = slots.T
 

@@ -71,9 +71,9 @@ class BoxMap:
         exterior = np.take(self.exterior, rows)
         base = np.zeros(rows.size, dtype=np.int32)
         self_loops = ~exterior
-        own = np.unravel_index(rows, self.grid.shape)
+        own = self.grid.axis_indices(rows)
         widths = []
-        for axis, stride in enumerate(_strides(self.grid.shape)):
+        for axis, stride in enumerate(self.grid.strides):
             lo = np.take(self.jmin[:, axis], rows).astype(np.int32)
             hi = np.take(self.jmax[:, axis], rows).astype(np.int32)
             self_loops &= (lo <= own[axis]) & (own[axis] <= hi)
@@ -87,7 +87,7 @@ class BoxMap:
     def _fill(self, base, widths, indptr):
         """Indices listing row k's rectangle of a layout, in ravel order,
         so each row is sorted."""
-        strides = _strides(self.grid.shape)
+        strides = self.grid.strides
         d = len(strides)
         runs = np.ones(base.size, dtype=np.int32)
         for w in widths[:-1]:
@@ -159,7 +159,7 @@ class BoxMap:
             # a rectangle is named by its first and last target; rows
             # without targets share one key and never get a hub
             last = base.astype(np.int64)
-            for w, stride in zip(widths, _strides(self.grid.shape)):
+            for w, stride in zip(widths, self.grid.strides):
                 last += (w - 1) * np.int64(stride)
             key = np.where(size > 0, base.astype(np.int64) * n + last, -1)
             _, first, group, count = np.unique(
@@ -195,11 +195,6 @@ class BoxMap:
         return self.expand([int(linear)])[1].astype(np.int64)
 
 
-def _strides(shape):
-    """Linear-index step of one box along each axis (ravel order)."""
-    return [int(np.prod(shape[i + 1:])) for i in range(len(shape))]
-
-
 def _indptr(widths):
     """CSR row pointer of rectangles with the given per-axis widths."""
     size = np.ones(widths[0].size, dtype=np.int64)
@@ -214,8 +209,8 @@ def _slabs(grid: CubicalGrid):
     """The slabs of the grid as first-axis layer ranges (a, b), in order:
     as many whole layers as fit in _SLAB_BOXES boxes, at least one.  A
     slab's boxes are rows a * layer .. b * layer of the linear order,
-    layer being the number of boxes in one first-axis layer."""
-    step = max(1, _SLAB_BOXES // (grid.box_count // grid.shape[0]))
+    layer = grid.strides[0] being the boxes of one first-axis layer."""
+    step = max(1, _SLAB_BOXES // grid.strides[0])
     return [(a, min(a + step, grid.shape[0]))
             for a in range(0, grid.shape[0], step)]
 
@@ -234,7 +229,7 @@ def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
             f"oracle dimension {oracle.dimension} != grid dimension {grid.dimension}"
         )
     n, d = grid.box_count, grid.dimension
-    layer = n // grid.shape[0]
+    layer = grid.strides[0]
     jmin = None
     for a, b in _slabs(grid):
         lo, hi = oracle.image_rects(grid, (a, b))

@@ -160,9 +160,11 @@ class TestConfigValidation:
         {"prime": 7.9},
         {"rho": True},
         {"depths": [True]},
+        {"domain": {"lower": [False], "upper": [True]}},
+        {"domain": {"lower": [-2.0], "upper": [True]}},
     ], ids=["rho-text", "prime-text", "domain-bound-text", "domain-list",
             "out-number", "top-level-array", "prime-fraction", "rho-bool",
-            "depths-bool"])
+            "depths-bool", "domain-bounds-bool", "domain-upper-bool"])
     def test_ill_typed_value_exit_code(self, tmp_path, capsys, over):
         """A JSON value of the wrong type is a configuration error (exit
         2), not a traceback, and is never converted: a fractional prime
@@ -175,6 +177,35 @@ class TestConfigValidation:
             write_config(p, **over)
         assert main(["analyze", "--config", str(p), "--no-cache"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("oracle, key, bad", [
+        ({"type": "piecewise1d", "theta": 1.5}, "theta", "1.5"),
+        ({"type": "piecewise1d", "theta": 1.5}, "theta", True),
+        ({"type": "leslie", "theta": [23.5, 23.5]}, "theta", ["23.5", "23.5"]),
+        ({"type": "leslie", "theta": [23.5, 23.5]}, "theta", [True, 23.5]),
+        ({"type": "data", "lipschitz": 34}, "lipschitz", "34"),
+        ({"type": "data", "lipschitz": 34}, "lipschitz", True),
+    ], ids=["piecewise1d-theta-text", "piecewise1d-theta-bool",
+            "leslie-theta-text", "leslie-theta-bool", "data-lipschitz-text",
+            "data-lipschitz-bool"])
+    def test_ill_typed_oracle_value_exit_code(self, tmp_path, capsys, oracle,
+                                              key, bad):
+        """An oracle value of the wrong JSON type is refused (exit 2), not
+        converted: true is no theta or Lipschitz constant of 1.0.  The
+        same spec with the value well typed runs."""
+        samples = tmp_path / "pairs.txt"
+        samples.write_text("10 10 12 8\n30 20 28 22\n")
+        over = {"oracle": dict(oracle, samples=str(samples))}
+        if oracle["type"] != "piecewise1d":
+            over.update(domain={"lower": [0.0, 0.0], "upper": [90.0, 70.0]},
+                        depths=[3, 3])
+        p = write_config(tmp_path / "c.json", **over)
+        assert main(["analyze", "--config", str(p), "--no-cache"]) == 0
+        over["oracle"][key] = bad
+        write_config(p, **over)
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(p), "--no-cache"]) == 2
+        assert "must be a number" in capsys.readouterr().err
 
     def test_cache_key_ignores_out_dir(self, tmp_path):
         a = load_config(write_config(tmp_path / "a.json", out="x"))

@@ -16,7 +16,7 @@ from boxdyn import (
     morse_graph_from_jsonable,
     project,
 )
-from boxdyn.compare import coarsen_boxes, morse_tiles
+from boxdyn.compare import morse_tiles
 from boxdyn.errors import GridMismatch
 
 
@@ -31,15 +31,25 @@ class TestCoarsenBoxes:
         fine = piecewise_graph(10)
         coarse = piecewise_graph(8)
         # fine boxes 0..3 all lie in coarse box 0
-        got = coarsen_boxes(fine, coarse, [0, 1, 2, 3])
-        assert got.tolist() == [0]
-        assert coarsen_boxes(fine, coarse, [4]).tolist() == [1]
+        got = fine.grid.parents([0, 1, 2, 3], coarse.grid)
+        assert got.tolist() == [0, 0, 0, 0]
+        assert fine.grid.parents([4], coarse.grid).tolist() == [1]
+        # project assigns each fine node the coarse tile holding the
+        # parents of its region
+        nu = project(fine, coarse)
+        tiles = morse_tiles(coarse)
+        assert sorted(nu.assignment) == fine.nodes
+        for q, m in nu.assignment.items():
+            assert tiles[m][fine.grid.parents(fine.region_of(q),
+                                              coarse.grid)].all()
 
     def test_requires_nested_grids(self):
         fine = piecewise_graph(8)
         coarse = piecewise_graph(10)
         with pytest.raises(GridMismatch):
-            coarsen_boxes(fine, coarse, [0])
+            fine.grid.parents([0], coarse.grid)
+        with pytest.raises(GridMismatch):
+            project(fine, coarse)
 
     def test_requires_same_space(self):
         fine = piecewise_graph(10)

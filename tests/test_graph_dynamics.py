@@ -451,6 +451,14 @@ class TestVerifyAttractingBlock:
         with pytest.raises(BoxdynError, match="outside the grid"):
             verify_attracting_block(bm, [1, box])
 
+    @pytest.mark.parametrize("boxes", [[1, 1.5], [1.0], [1, True],
+                                       np.array([1.0])])
+    def test_non_integer_box_refused(self, boxes):
+        """A float or a bool is not cast to a box index."""
+        bm = digraph_boxmap(2, [(0, 1), (1, 1)])
+        with pytest.raises(BoxdynError, match="not integers|bool"):
+            verify_attracting_block(bm, boxes)
+
 
 class TestMorseGraph:
     def test_cycle_and_sink_order(self):
@@ -547,9 +555,17 @@ class TestMorseGraph:
             doc["nodes"][0]["region"][0]), "two nodes"),
         (lambda doc: doc["nodes"][1].update(component=37), "smallest box 1"),
         (lambda doc: doc["nodes"][1].update(region=[]), "empty region"),
+        (lambda doc: doc["nodes"][1].update(region=[1.5]), "not integers"),
+        (lambda doc: doc["nodes"][1].update(region=[1.0]), "not integers"),
+        (lambda doc: doc["nodes"][1].update(region=[True]), "bool"),
+        (lambda doc: doc["nodes"][0].update(id=0.0), "node ids"),
+        (lambda doc: doc["nodes"][1].update(component=1.0), "component 1.0"),
+        (lambda doc: doc["order"].append([False, True]), "order pair"),
     ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id",
             "order-cycle", "order-not-transitive", "shared-region",
-            "component-not-smallest-box", "empty-region"])
+            "component-not-smallest-box", "empty-region", "region-fraction",
+            "region-float", "region-bool", "id-float", "component-float",
+            "order-bools"])
     def test_inconsistent_record_refused(self, edit, match):
         """A reloaded record whose order, regions or ids do not fit its
         nodes and grid is refused, not drawn or projected."""

@@ -9,6 +9,7 @@ from boxdyn import (
     PointOutsideDomain,
     Rect,
 )
+from boxdyn.errors import GridMismatch
 
 from conftest import (box_rect, boxes_intersecting, contains_point,
                       grid_diameter)
@@ -163,6 +164,72 @@ class TestGeometry:
     def test_box_count(self):
         grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [9, 9])
         assert grid.box_count == 1 << 18
+
+
+NUMBERING_DEPTHS = [(4,), (3, 2), (2, 1, 2), (0, 3), (8, 7)]
+
+
+def numbered_grid(depths):
+    d = len(depths)
+    return CubicalGrid(PhaseSpace([-1.0] * d, 2.0 + np.arange(d)), depths)
+
+
+class TestBoxNumbering:
+    """axis_indices, parents and children against numpy's C order and
+    against the geometry of the boxes."""
+
+    @pytest.mark.parametrize("depths", NUMBERING_DEPTHS)
+    def test_axis_indices_are_unravel_index(self, rng, depths):
+        grid = numbered_grid(depths)
+        boxes = rng.integers(0, grid.box_count, size=200)
+        want = np.unravel_index(boxes, grid.shape)
+        got = grid.axis_indices(boxes)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        assert grid.strides == tuple(
+            int(np.prod(grid.shape[i + 1:])) for i in range(len(depths)))
+
+    @pytest.mark.parametrize("depths", NUMBERING_DEPTHS)
+    def test_parent_holds_the_box_centre(self, rng, depths):
+        fine = numbered_grid(depths)
+        coarse = numbered_grid([int(rng.integers(0, d + 1)) for d in depths])
+        boxes = rng.integers(0, fine.box_count, size=60)
+        got = fine.parents(boxes, coarse)
+        for b, p in zip(boxes, got):
+            centre = fine.space.lower + (np.asarray(fine.multi_index(b))
+                                         + 0.5) * fine.widths
+            assert p == coarse.linearize(coarse.box_containing(centre))
+
+    @pytest.mark.parametrize("depths", NUMBERING_DEPTHS)
+    def test_children_and_parents_invert(self, rng, depths):
+        fine = numbered_grid(depths)
+        coarse = numbered_grid([int(rng.integers(0, d + 1)) for d in depths])
+        per_box = fine.box_count // coarse.box_count
+        boxes = rng.integers(0, fine.box_count, size=20)
+        parents = fine.parents(boxes, coarse)
+        for b, p in zip(boxes, parents):
+            kids = coarse.children([p], fine)
+            assert kids.size == per_box and b in kids
+            np.testing.assert_array_equal(fine.parents(kids, coarse), p)
+        kids = coarse.children(np.unique(parents), fine)
+        assert np.all(np.diff(kids) > 0)
+        assert kids.size == np.unique(parents).size * per_box
+
+    @pytest.mark.parametrize("depths", NUMBERING_DEPTHS)
+    def test_grids_must_nest(self, depths):
+        fine = numbered_grid(depths)
+        elsewhere = CubicalGrid(PhaseSpace(fine.space.lower,
+                                           fine.space.upper + 1.0), depths)
+        deeper = numbered_grid([d + (i == 0) for i, d in enumerate(depths)])
+        with pytest.raises(GridMismatch, match="different phase spaces"):
+            fine.parents([0], elsewhere)
+        with pytest.raises(GridMismatch, match="different phase spaces"):
+            elsewhere.children([0], fine)
+        with pytest.raises(GridMismatch, match="at least as deeply"):
+            fine.parents([0], deeper)
+        with pytest.raises(GridMismatch, match="at least as deeply"):
+            deeper.children([0], fine)
 
 
 class TestRect:

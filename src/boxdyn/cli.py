@@ -245,11 +245,9 @@ def build_oracle(cfg: AnalysisConfig):
     kind = spec["type"]
     try:
         if kind == "leslie":
-            theta = spec.get("theta", [23.5, 23.5])
-            if len(theta) != 2:
-                raise ConfigError(f"leslie theta needs two values, got {theta}")
+            # LeslieOracle refuses any length but two
             return LeslieOracle(tuple(_number(t, "leslie theta")
-                                      for t in theta))
+                                      for t in spec.get("theta", [23.5, 23.5])))
         if kind == "piecewise1d":
             return PiecewiseExample1D(
                 float(_number(spec["theta"], "piecewise1d theta")))

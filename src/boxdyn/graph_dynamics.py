@@ -350,24 +350,37 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """Whether a JSON value is a number: an integer or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
     """Rebuild a MorseGraph, Conley indices included, from its JSON.
 
     Downsets are not stored, so the rebuilt graph has none and
     downset_of raises (the JSON document is a record of nodes, order,
-    and regions).  BoxdynError if node ids are not their positions
-    0..m-1, a region box is not an integer, is off the grid or is in the
-    regions of two nodes, a region is empty or its smallest box is not
-    its node's component, an order pair does not name two distinct
-    nodes (ids, components and order entries are integers, never
-    floats or bools), or the order is not
-    the full reachability order morse_graph writes: antisymmetric and
+    and regions).  BoxdynError if a grid depth is not an integer or a
+    grid bound not a number (a bool or a text is neither), node ids are
+    not their positions 0..m-1, a region box is not an integer, is off
+    the grid or is in the regions of two nodes, a region is empty or its
+    smallest box is not its node's component, an order pair does not
+    name two distinct nodes (ids, components and order entries are
+    integers, never floats or bools), or the order is not the full
+    reachability order morse_graph writes: antisymmetric and
     transitively closed, which hasse_edges assumes.
     """
     # conley imports this module, so the import cannot be at the top
     from .conley import ConleyIndex
 
     g = doc["grid"]
+    # CubicalGrid and PhaseSpace would cast 8.9 to 8 and false to 0.0
+    for field, ok, kind in (("subdivisions", _is_int, "integers"),
+                            ("lower", _is_number, "numbers"),
+                            ("upper", _is_number, "numbers")):
+        if not isinstance(g[field], list) or not all(map(ok, g[field])):
+            raise BoxdynError(f"Morse graph record: grid {field} {g[field]} "
+                              f"are not all {kind}")
     grid = CubicalGrid(PhaseSpace(g["lower"], g["upper"]), g["subdivisions"])
     nodes = doc["nodes"]
     ids = [nd["id"] for nd in nodes]

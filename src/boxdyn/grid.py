@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoxdynError, GridMismatch, PointOutsideDomain
+from .errors import (BoxdynError, DimensionMismatch, GridMismatch,
+                     PointOutsideDomain)
 
 
 @dataclass(frozen=True)
@@ -195,37 +196,49 @@ class CubicalGrid:
             idx.append(min(max(j, 0), self.shape[i] - 1))
         return tuple(idx)
 
-    def index_ranges_bulk(self, rect_lo: np.ndarray, rect_hi: np.ndarray,
-                          pad: float = 0.0, out=None):
+    def index_ranges_bulk(self, rect_lo, rect_hi, pad: float = 0.0,
+                          out=None):
         """Inclusive per-axis index ranges of the boxes meeting each
         rectangle, inflated by pad on every side.
 
-        rect_lo/rect_hi have shape (n, d).  Closed-box semantics: a
-        rectangle touching a face meets the boxes on both sides.
-        Returns (jmin, jmax, nonempty) with jmin/jmax int32 of shape
-        (n, d) clamped to the grid and a boolean mask of rectangles that
-        meet X at all; out = (jmin, jmax, nonempty) fills given arrays
-        instead.  Only the interior faces are searched: jmin counts the
-        interior faces below its key and jmax those at or below its key,
-        so both lie in [0, n - 1] with no clamping, and a rectangle meets
-        X iff its low key is at most the last face and its high key at
-        least the first.  The pad is applied one axis at a time, so no
-        padded copy of the inputs is made.
+        rect_lo[i]/rect_hi[i] are the bounds along axis i, arrays that
+        broadcast to the rectangles' shape S: out's when given, else the
+        bounds' common shape.  Each axis is searched at its bounds' own
+        shape, so a bound constant along some axes of S (length 1 there)
+        is searched once per value, and the result is broadcast into
+        place.  Closed-box semantics: a rectangle touching a face meets
+        the boxes on both sides.  Returns (jmin, jmax, nonempty) with
+        jmin/jmax int32 of shape S + (d,) clamped to the grid and a
+        boolean mask of shape S of rectangles that meet X at all;
+        out = (jmin, jmax, nonempty) fills given arrays instead.  Only
+        the interior faces are searched: jmin counts the interior faces
+        below its key and jmax those at or below its key, so both lie in
+        [0, n - 1] with no clamping, and a rectangle meets X iff its low
+        key is at most the last face and its high key at least the
+        first.  The pad is applied one axis at a time, so no padded copy
+        of the inputs is made.  DimensionMismatch unless there are d
+        bounds of each kind.
         """
-        n, d = rect_lo.shape
+        d = self.dimension
+        if len(rect_lo) != d or len(rect_hi) != d:
+            raise DimensionMismatch(
+                f"{len(rect_lo)} lower and {len(rect_hi)} upper bounds for "
+                f"a grid of dimension {d}")
         if out is None:
-            out = (np.empty((n, d), dtype=np.int32),
-                   np.empty((n, d), dtype=np.int32), np.empty(n, dtype=bool))
+            shape = np.broadcast_shapes(*map(np.shape, (*rect_lo, *rect_hi)))
+            out = (np.empty(shape + (d,), dtype=np.int32),
+                   np.empty(shape + (d,), dtype=np.int32),
+                   np.empty(shape, dtype=bool))
         jmin, jmax, nonempty = out
-        nonempty[:] = True
+        nonempty[...] = True
         for i in range(d):
             faces = self.faces[i]
-            key = rect_lo[:, i] - pad
+            key = rect_lo[i] - pad
             nonempty &= key <= faces[-1]
-            jmin[:, i] = np.searchsorted(faces[1:-1], key, side="left")
-            key = rect_hi[:, i] + pad
+            jmin[..., i] = np.searchsorted(faces[1:-1], key, side="left")
+            key = rect_hi[i] + pad
             nonempty &= key >= faces[0]
-            jmax[:, i] = np.searchsorted(faces[1:-1], key, side="right")
+            jmax[..., i] = np.searchsorted(faces[1:-1], key, side="right")
         return jmin, jmax, nonempty
 
     def __eq__(self, other):

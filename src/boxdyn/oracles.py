@@ -7,12 +7,16 @@ one method: eval_batch is the only pointwise formula (eval checks one
 point and calls it) and enclosures(faces) the only enclosure formula
 (image_rect calls it on a one-box grid, and image_rects on a slab of
 whole first-axis layers of a CubicalGrid; build_boxmap asks for one slab
-at a time, so no enclosure of the whole grid is held).  The default
+at a time, so no enclosure of the whole grid is held).  An enclosure is
+one array of bounds per coordinate, each broadcastable to the grid's box
+shape: a coordinate constant along an axis may give that axis length 1,
+and is then computed and searched once per value.  The default
 enclosure is the hull of the corner images padded by L * (half box
 diameter): every point of the box is within half a diameter of some
 corner, so the padded hull covers the true image.  The Leslie map's
 closed form reads each grid vertex once and shares it between the boxes
-that meet it.
+that meet it, and its second coordinate, 0.7*x1, once per first-axis
+layer.
 """
 
 from __future__ import annotations
@@ -57,9 +61,12 @@ class MapOracle(ABC):
         """Image enclosures of every box of the product grid of faces.
 
         faces[i] holds the increasing face coordinates along axis i.
-        Returns (lo, hi), shape (n, d), boxes in C order.  The default
-        is the corner hull padded by L * (half box diameter); each grid
-        vertex is evaluated once and shared by the boxes that meet it.
+        Returns (lo, hi), each a sequence of d arrays: lo[i] and hi[i]
+        bound coordinate i and broadcast to the box shape (len(f) - 1
+        for f in faces), boxes in C order.  The default is the corner
+        hull padded by L * (half box diameter), at the full box shape;
+        each grid vertex is evaluated once and shared by the boxes that
+        meet it.
         """
         d = len(faces)
         shape = tuple(len(f) for f in faces)
@@ -71,18 +78,20 @@ class MapOracle(ABC):
             lo = v if lo is None else np.minimum(lo, v)
             hi = v if hi is None else np.maximum(hi, v)
         pad = self.lipschitz_upper_bound() * _half_diameters(faces)[:, None]
-        return lo.reshape(-1, d) - pad, hi.reshape(-1, d) + pad
+        return (_coordinates(lo.reshape(-1, d) - pad, lo.shape[:-1]),
+                _coordinates(hi.reshape(-1, d) + pad, hi.shape[:-1]))
 
     def image_rect(self, box: Rect) -> Rect:
         """Rectangle containing the image of the closed box."""
         lo, hi = self.enclosures(
             [np.array([a, b]) for a, b in zip(box.lower, box.upper)])
-        return Rect(lo[0], hi[0])
+        return Rect([np.ravel(x)[0] for x in lo], [np.ravel(x)[0] for x in hi])
 
     def image_rects(self, grid: CubicalGrid, layers):
         """Image enclosures of the boxes of first-axis layers a .. b - 1
-        of the grid, layers = (a, b); returns (lo, hi), shape (n, d),
-        boxes ordered by linearized index."""
+        of the grid, layers = (a, b), as enclosures gives them: per
+        coordinate, broadcastable to the slab's box shape
+        (b - a,) + grid.shape[1:]."""
         a, b = layers
         return self.enclosures([grid.faces[0][a:b + 1]] + list(grid.faces[1:]))
 
@@ -96,6 +105,12 @@ def _product(axes) -> np.ndarray:
 def _half_diameters(faces) -> np.ndarray:
     """Half the Euclidean diameter of each box of the product grid, shape (n,)."""
     return 0.5 * np.linalg.norm(_product([np.diff(f) for f in faces]), axis=1)
+
+
+def _coordinates(bounds: np.ndarray, shape) -> tuple:
+    """The columns of (n, d) bounds of the boxes of a grid, each viewed
+    at the box shape."""
+    return tuple(bounds[:, i].reshape(shape) for i in range(bounds.shape[1]))
 
 
 class LeslieOracle(MapOracle):
@@ -118,6 +133,8 @@ class LeslieOracle(MapOracle):
     LIPSCHITZ_BOUND = 34.0
 
     def __init__(self, theta=(23.5, 23.5)):
+        if len(theta) != 2:
+            raise ValueError(f"theta needs two values, got {tuple(theta)}")
         self.theta = (float(theta[0]), float(theta[1]))
         if not all(map(math.isfinite, self.theta)):
             raise ValueError(f"theta must be finite, got {self.theta}")
@@ -138,22 +155,21 @@ class LeslieOracle(MapOracle):
     def enclosures(self, faces):
         # f1 depends on x1 + x2, so every bound is read from the sums s at
         # the grid vertices; a box's low corner is vertex [i, j] and its
-        # high corner [i + 1, j + 1]
+        # high corner [i + 1, j + 1].  f2 = 0.7*x1 is one value per
+        # first-axis layer, so its bounds have shape (layers, 1)
         f0, f1 = faces
         t1, t2 = self.theta
         s = f0[:, None] + f1
-        lo = np.empty((f0.size - 1, f1.size - 1, 2))
-        hi = np.empty_like(lo)
         if t1 == t2:
             # f1 = g(s) = t1*s*exp(-0.1*s), unimodal with peak at s = 10
             g = t1 * s * np.exp(-0.1 * s)
-            np.minimum(g[:-1, :-1], g[1:, 1:], out=lo[..., 0])
-            np.maximum(g[:-1, :-1], g[1:, 1:], out=hi[..., 0])
+            lo = np.minimum(g[:-1, :-1], g[1:, 1:])
+            hi = np.maximum(g[:-1, :-1], g[1:, 1:])
             peak = (s[:-1, :-1] <= 10.0) & (10.0 <= s[1:, 1:])
             top = t1 * 10.0 * math.exp(-1.0)
-            hi[..., 0][peak] = max(top, 0.0)
+            hi[peak] = max(top, 0.0)
             if t1 < 0:
-                lo[..., 0][peak] = top
+                lo[peak] = top
         else:
             # interval product: w = t1*x1 + t2*x2 bounded term by term,
             # times exp(-0.1*s) between its values at the two corners
@@ -166,11 +182,10 @@ class LeslieOracle(MapOracle):
             e = np.exp(-0.1 * s)
             e_lo, e_hi = e[1:, 1:], e[:-1, :-1]
             prods = (w_lo * e_lo, w_lo * e_hi, w_hi * e_lo, w_hi * e_hi)
-            lo[..., 0] = reduce(np.minimum, prods)
-            hi[..., 0] = reduce(np.maximum, prods)
-        lo[..., 1] = 0.7 * f0[:-1, None]
-        hi[..., 1] = 0.7 * f0[1:, None]
-        return lo.reshape(-1, 2), hi.reshape(-1, 2)
+            lo = reduce(np.minimum, prods)
+            hi = reduce(np.maximum, prods)
+        return ((lo, (0.7 * f0[:-1])[:, None]),
+                (hi, (0.7 * f0[1:])[:, None]))
 
 
 class PiecewiseExample1D(MapOracle):
@@ -199,8 +214,8 @@ class PiecewiseExample1D(MapOracle):
 
     def enclosures(self, faces):
         # exact: f is continuous and nondecreasing
-        vals = self.eval_batch(faces[0])
-        return vals[:-1], vals[1:]
+        vals = self.eval_batch(faces[0])[:, 0]
+        return (vals[:-1],), (vals[1:],)
 
 
 class MlpOracle(MapOracle):
@@ -302,7 +317,8 @@ class LipschitzDataOracle(MapOracle):
         dist, idx = self._tree.query(centers)
         rad = (self.L * (dist + _half_diameters(faces)))[:, None]
         y = self.ys[idx]
-        return y - rad, y + rad
+        shape = tuple(len(f) - 1 for f in faces)
+        return _coordinates(y - rad, shape), _coordinates(y + rad, shape)
 
 
 class CallableOracle(MapOracle):

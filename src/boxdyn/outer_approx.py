@@ -6,7 +6,9 @@ Because enclosures are rectangles, the target set of a box is always a
 contiguous block of indices, so a BoxMap stores per-box index ranges.
 It asks the oracle for the enclosures of one slab of whole first-axis
 layers at a time and writes that slab's ranges into the box map's
-arrays, so no float array spans the whole grid.
+arrays, so no float array spans the whole grid; a coordinate whose
+bounds are constant along an axis is searched once per value and
+broadcast into the ranges.
 BoxMap.expand turns the ranges of the boxes a caller asks for into CSR
 rows; no matrix over the whole grid is built or kept.  BoxMap.graph
 gives the digraph of a forward-closed set of boxes in their positions.
@@ -233,9 +235,13 @@ def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
     jmin = None
     for a, b in _slabs(grid):
         lo, hi = oracle.image_rects(grid, (a, b))
-        if np.isnan(lo.min()) or np.isnan(hi.max()):  # min and max keep a NaN
-            box = int(np.argmax(np.isnan(lo).any(axis=1)
-                                | np.isnan(hi).any(axis=1)))
+        shape = (b - a,) + grid.shape[1:]
+        # min and max keep a NaN
+        if any(np.isnan(np.min(x)) for x in (*lo, *hi)):
+            nan = np.zeros(shape, dtype=bool)
+            for x in (*lo, *hi):
+                nan |= np.isnan(x)
+            box = int(np.argmax(nan))
             raise BoxdynError(f"the enclosure of box "
                               f"{grid.multi_index(a * layer + box)} "
                               "has a NaN bound")
@@ -246,8 +252,9 @@ def build_boxmap(grid: CubicalGrid, oracle: MapOracle, rho: float) -> BoxMap:
             jmax = np.empty((n, d), dtype=np.int32)
             nonempty = np.empty(n, dtype=bool)
         rows = slice(a * layer, b * layer)
-        grid.index_ranges_bulk(lo, hi, pad=rho,
-                               out=(jmin[rows], jmax[rows], nonempty[rows]))
+        grid.index_ranges_bulk(lo, hi, pad=rho, out=(
+            jmin[rows].reshape(shape + (d,)), jmax[rows].reshape(shape + (d,)),
+            nonempty[rows].reshape(shape)))
     exterior = np.logical_not(nonempty, out=nonempty)
     return BoxMap(grid, jmin=jmin, jmax=jmax, exterior=exterior)
 

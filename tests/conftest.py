@@ -102,6 +102,16 @@ def box_rect(grid, index):
     return Rect(lo, hi)
 
 
+def stacked(enclosure, shape):
+    """Per-coordinate bounds (lo, hi), as enclosures and image_rects give
+    them, broadcast to the box shape and stacked as (n, d) arrays, boxes
+    in C order."""
+    return tuple(
+        np.stack([np.broadcast_to(x, shape) for x in bounds],
+                 axis=-1).reshape(-1, len(bounds))
+        for bounds in enclosure)
+
+
 def leslie_enclosures(theta, faces):
     """Leslie image enclosures, box by box: the closed form in theta1 ==
     theta2 (g(s) = theta*s*exp(-0.1*s) at the corner sums, its peak

@@ -561,11 +561,25 @@ class TestMorseGraph:
         (lambda doc: doc["nodes"][0].update(id=0.0), "node ids"),
         (lambda doc: doc["nodes"][1].update(component=1.0), "component 1.0"),
         (lambda doc: doc["order"].append([False, True]), "order pair"),
+        (lambda doc: doc["grid"].update(subdivisions=[6.9]),
+         "subdivisions .* integers"),
+        (lambda doc: doc["grid"].update(subdivisions=[6.0]),
+         "subdivisions .* integers"),
+        (lambda doc: doc["grid"].update(subdivisions=[True]),
+         "subdivisions .* integers"),
+        (lambda doc: doc["grid"].update(subdivisions=["6"]),
+         "subdivisions .* integers"),
+        (lambda doc: doc["grid"].update(lower=[False]), "lower .* numbers"),
+        (lambda doc: doc["grid"].update(lower=["0"]), "lower .* numbers"),
+        (lambda doc: doc["grid"].update(upper=[True]), "upper .* numbers"),
+        (lambda doc: doc["grid"].update(upper=["64"]), "upper .* numbers"),
     ], ids=["order-names-missing-node", "region-off-grid", "duplicate-id",
             "order-cycle", "order-not-transitive", "shared-region",
             "component-not-smallest-box", "empty-region", "region-fraction",
             "region-float", "region-bool", "id-float", "component-float",
-            "order-bools"])
+            "order-bools", "depth-fraction", "depth-float", "depth-bool",
+            "depth-text", "lower-bool", "lower-text", "upper-bool",
+            "upper-text"])
     def test_inconsistent_record_refused(self, edit, match):
         """A reloaded record whose order, regions or ids do not fit its
         nodes and grid is refused, not drawn or projected."""

@@ -9,7 +9,7 @@ from boxdyn import (
     PointOutsideDomain,
     Rect,
 )
-from boxdyn.errors import GridMismatch
+from boxdyn.errors import DimensionMismatch, GridMismatch
 
 from conftest import (box_rect, boxes_intersecting, contains_point,
                       grid_diameter)
@@ -116,7 +116,8 @@ class TestIndexRangesBulk:
                 [[-np.inf, f[0] - 1.0], [f[-1] + 1.0, np.inf]]]), axis=1))
         lo = np.stack([k[:, 0] for k in keys], axis=1)
         hi = np.stack([k[:, 1] for k in keys], axis=1)
-        jmin, jmax, nonempty = grid.index_ranges_bulk(lo, hi, pad=pad)
+        jmin, jmax, nonempty = grid.index_ranges_bulk(list(lo.T), list(hi.T),
+                                                      pad=pad)
         assert jmin.dtype == jmax.dtype == np.int32
         met = 0
         for r in range(lo.shape[0]):
@@ -131,6 +132,92 @@ class TestIndexRangesBulk:
                 assert jmin[r].tolist() == [m[0] for m in meets]
                 assert jmax[r].tolist() == [m[-1] for m in meets]
         assert 0 < met < lo.shape[0]
+
+
+def _face_keys(rng, faces, pad, shape):
+    """Random keys of the given shape on an axis's faces, their
+    neighbouring floats on both sides, the domain's ends moved by pad,
+    points beyond the domain and +-inf, the last two as often as the
+    faces, so some rectangles miss the domain; the low keys are at most
+    the high ones."""
+    beyond = [faces[0] - 1.0, faces[-1] + 1.0, -np.inf, np.inf]
+    pool = np.concatenate([
+        faces, np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf),
+        [faces[0] - pad, faces[-1] + pad], np.repeat(beyond, faces.size)])
+    a, b = rng.choice(pool, size=(2,) + shape)
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+class TestBroadcastBounds:
+    """index_ranges_bulk searches each axis's bounds at their own shape
+    and broadcasts the ranges; they equal those of the same bounds made
+    full-shape."""
+
+    @pytest.mark.parametrize("space, depths, box_shape", [
+        (PhaseSpace([-2.0], [2.0]), [3], (9,)),
+        (PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 5], (6, 7)),
+        (PhaseSpace([-0.3, 0.1, 0.0], [0.7, 1.3, 3.0]), [2, 3, 1],
+         (3, 4, 5)),
+    ], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("pad", [0.0, 0.03])
+    def test_broadcast_equals_full_shape(self, space, depths, box_shape,
+                                         pad):
+        """Every axis's bounds keep a random subset of the rectangles'
+        axes (the others have length 1), so some are constant on all of
+        them; the ranges go into out= views of rows n .. 2n of larger
+        arrays, as build_boxmap's slabs do, and rows 0 .. n stay as
+        they were."""
+        rng = np.random.default_rng(25)
+        grid = CubicalGrid(space, depths)
+        d, n = grid.dimension, math.prod(box_shape)
+        met = 0
+        for _ in range(20):
+            lo, hi = [], []
+            for faces in grid.faces:
+                keep = rng.random(len(box_shape)) < 0.5
+                shape = tuple(m if k else 1 for m, k in zip(box_shape, keep))
+                a, b = _face_keys(rng, faces, pad, shape)
+                lo.append(a)
+                hi.append(b)
+            want = grid.index_ranges_bulk(
+                [np.broadcast_to(x, box_shape).copy() for x in lo],
+                [np.broadcast_to(x, box_shape).copy() for x in hi], pad=pad)
+            jmin = np.full((2 * n, d), -1, dtype=np.int32)
+            jmax = np.full((2 * n, d), -1, dtype=np.int32)
+            nonempty = np.zeros(2 * n, dtype=bool)
+            out = (jmin[n:].reshape(box_shape + (d,)),
+                   jmax[n:].reshape(box_shape + (d,)),
+                   nonempty[n:].reshape(box_shape))
+            got = grid.index_ranges_bulk(lo, hi, pad=pad, out=out)
+            assert all(g is o for g, o in zip(got, out))
+            for w, g in zip(want, got):
+                assert w.shape == g.shape
+                assert np.array_equal(w, g)
+            assert (jmin[:n] == -1).all() and (jmax[:n] == -1).all()
+            assert not nonempty[:n].any()
+            met += int(nonempty.sum())
+        assert 0 < met < 20 * n
+
+    def test_broadcast_shape_without_out(self):
+        """Without out, the ranges take the bounds' common shape: a
+        first-axis layer of bounds (3, 1) and a column of bounds (1, 4)
+        give (3, 4) rectangles, the one-layer-per-value searches of a
+        coordinate constant along an axis."""
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [1.0, 1.0]), [2, 2])
+        f0, f1 = grid.faces
+        jmin, jmax, nonempty = grid.index_ranges_bulk(
+            [f0[:3, None], f1[None, :4]], [f0[1:4, None], f1[None, 1:5]])
+        assert jmin.shape == jmax.shape == (3, 4, 2)
+        assert nonempty.shape == (3, 4) and nonempty.all()
+        # box (i, j)'s own rectangle meets boxes i - 1 .. i + 1 on axis 0
+        assert jmin[..., 0].tolist() == [[0] * 4, [0] * 4, [1] * 4]
+        assert jmax[..., 0].tolist() == [[1] * 4, [2] * 4, [3] * 4]
+        assert jmin[..., 1].tolist() == [[0, 0, 1, 2]] * 3
+        assert jmax[..., 1].tolist() == [[1, 2, 3, 3]] * 3
+        # one array of bounds per axis: (n, d) rows are refused
+        rects = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(DimensionMismatch, match="3 lower and 3 upper"):
+            grid.index_ranges_bulk(rects, rects)
 
 
 class TestGeometry:

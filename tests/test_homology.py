@@ -680,12 +680,14 @@ class ProductOracle(MapOracle):
                                 for i in range(self.dimension)])
 
     def enclosures(self, faces):
+        # coordinate i depends on axis i only: length 1 on every other axis
         ends = [self._axis(i, f) for i, f in enumerate(faces)]
-        out = []
-        for pick in (np.minimum, np.maximum):
-            mesh = np.meshgrid(*[pick(v[:-1], v[1:]) for v in ends], indexing="ij")
-            out.append(np.stack(mesh, axis=-1).reshape(-1, self.dimension))
-        return tuple(out)
+        d = self.dimension
+        return tuple(
+            [pick(v[:-1], v[1:]).reshape([-1 if j == i else 1
+                                          for j in range(d)])
+             for i, v in enumerate(ends)]
+            for pick in (np.minimum, np.maximum))
 
 
 def node_complexes(bm):

@@ -16,7 +16,7 @@ from boxdyn import (
     outer_approx,
 )
 
-from conftest import box_rect, half_diameter, leslie_enclosures
+from conftest import box_rect, half_diameter, leslie_enclosures, stacked
 
 
 class TestLeslieEval:
@@ -72,7 +72,7 @@ class TestLeslieEval:
         for theta in [(23.5, 23.5), (19.0, 27.0)]:
             o = LeslieOracle(theta)
             grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 4])
-            lo, hi = o.enclosures(grid.faces)
+            lo, hi = stacked(o.enclosures(grid.faces), grid.shape)
             for _ in range(200):
                 k = int(rng.integers(0, grid.box_count))
                 r = box_rect(grid, grid.multi_index(k))
@@ -93,6 +93,14 @@ def test_non_finite_parameter_refused(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("theta", [(), (23.5,), (23.5, 23.5, 99.0)],
+                         ids=["none", "one", "three"])
+def test_leslie_theta_length_refused(theta):
+    """theta holds exactly two values: a third is not dropped."""
+    with pytest.raises(ValueError, match="two values"):
+        LeslieOracle(theta)
+
+
 class TestPiecewise1D:
     def test_eval_branches(self):
         o = PiecewiseExample1D(1.5)
@@ -111,7 +119,7 @@ class TestPiecewise1D:
     def test_image_rects_match_endpoints(self, rng):
         o = PiecewiseExample1D(1.5)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
-        lo, hi = o.enclosures(grid.faces)
+        lo, hi = stacked(o.enclosures(grid.faces), grid.shape)
         for k in range(grid.box_count):
             r = box_rect(grid, (k,))
             assert lo[k, 0] == o.eval(r.lower)[0]
@@ -120,7 +128,7 @@ class TestPiecewise1D:
     def test_soundness(self, rng):
         o = PiecewiseExample1D(1.5)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [6])
-        lo, hi = o.enclosures(grid.faces)
+        lo, hi = stacked(o.enclosures(grid.faces), grid.shape)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
             r = box_rect(grid, (k,))
@@ -211,7 +219,7 @@ class TestDataOracle:
         xs = rng.random((30, 1)) * 4.0 - 2.0
         o = LipschitzDataOracle(xs, f(xs), 2.0)
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [5])
-        lo, hi = o.enclosures(grid.faces)
+        lo, hi = stacked(o.enclosures(grid.faces), grid.shape)
         for _ in range(200):
             k = int(rng.integers(0, grid.box_count))
             r = box_rect(grid, (k,))
@@ -255,7 +263,7 @@ class TestImageRectGeneric:
         is that box's row of enclosures over the whole grid."""
         o = make(np.random.default_rng(5))
         grid = CubicalGrid(space, depths)
-        lo, hi = o.enclosures(grid.faces)
+        lo, hi = stacked(o.enclosures(grid.faces), grid.shape)
         assert lo.shape == hi.shape == (grid.box_count, grid.dimension)
         for k in range(grid.box_count):
             r = o.image_rect(box_rect(grid, grid.multi_index(k)))
@@ -326,7 +334,7 @@ class TestLeslieEnclosures:
         for depths in ([0, 0], [0, 3], [3, 0], [4, 5], [7, 6]):
             grid = CubicalGrid(space, depths)
             want = leslie_enclosures(theta, grid.faces)
-            got = o.enclosures(grid.faces)
+            got = stacked(o.enclosures(grid.faces), grid.shape)
             for w, g in zip(want, got):
                 assert g.shape == (grid.box_count, 2)
                 assert np.array_equal(w, g)
@@ -340,5 +348,6 @@ class TestLeslieEnclosures:
         assert len(outer_approx._slabs(grid)) == 6
         want = leslie_enclosures(theta, grid.faces)
         for a, b in outer_approx._slabs(grid):
-            for w, g in zip(want, o.image_rects(grid, (a, b))):
+            for w, g in zip(want, stacked(o.image_rects(grid, (a, b)),
+                                          (b - a, 8))):
                 assert np.array_equal(w[a * 8:b * 8], g)

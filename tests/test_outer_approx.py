@@ -15,9 +15,10 @@ from boxdyn import (
     encloses,
 )
 from boxdyn import BoxdynError, outer_approx
+from boxdyn.oracles import MapOracle
 from boxdyn.outer_approx import _CHUNK_EDGES, BoxMap
 
-from conftest import box_rect, boxes_intersecting
+from conftest import box_rect, boxes_intersecting, stacked
 
 
 def identity_oracle(d=1):
@@ -27,6 +28,38 @@ def identity_oracle(d=1):
 def constant_oracle(c):
     c = np.atleast_1d(np.asarray(c, dtype=float))
     return CallableOracle(lambda x: c, lipschitz=0.0, dimension=c.size)
+
+
+class AxisOracle(MapOracle):
+    """The identity of the plane, each coordinate's bounds of length 1 on
+    the axis it does not depend on: (layers, 1) and (1, columns).  Its
+    first coordinate is NaN on the layers whose low face is at least
+    nan_layers_from; given nan_column_from = (x1, x2), its second is NaN
+    on the columns whose low face is at least x2, in slabs that start at
+    x1 or later."""
+
+    def __init__(self, nan_layers_from=np.inf, nan_column_from=None):
+        self.nan_layers_from = nan_layers_from
+        self.nan_column_from = nan_column_from
+
+    dimension = 2
+
+    def lipschitz_upper_bound(self):
+        return 1.0
+
+    def eval_batch(self, points):
+        return np.asarray(points, dtype=float)
+
+    def enclosures(self, faces):
+        f0, f1 = faces
+        lo0 = np.where(f0[:-1] >= self.nan_layers_from, np.nan, f0[:-1])
+        lo1 = f1[:-1]
+        if self.nan_column_from is not None:
+            x1, x2 = self.nan_column_from
+            if f0[0] >= x1:
+                lo1 = np.where(f1[:-1] >= x2, np.nan, f1[:-1])
+        return ((lo0[:, None], lo1[None, :]),
+                (f0[1:, None], f1[None, 1:]))
 
 
 class TestBuildBoxmap:
@@ -105,6 +138,14 @@ class TestBuildBoxmap:
             lipschitz=1.0, dimension=2)
         with pytest.raises(BoxdynError, match=r"box \(7, 2\)"):
             build_boxmap(grid, oracle, 0.0)
+        # the same with bounds broadcast along an axis: a NaN in a
+        # first-axis layer of bounds (layers, 1), and one in a column of
+        # bounds (1, 4) that only slabs from x1 = 0.5 on return
+        with pytest.raises(BoxdynError, match=r"box \(6, 0\)"):
+            build_boxmap(grid, AxisOracle(nan_layers_from=0.75), 0.0)
+        with pytest.raises(BoxdynError, match=r"box \(4, 2\)"):
+            build_boxmap(grid, AxisOracle(nan_column_from=(0.5, 0.5)), 0.0)
+        build_boxmap(grid, AxisOracle(), 0.0)
 
     def test_peak_memory_is_a_few_slabs(self, monkeypatch):
         """No enclosure of the whole grid is held: over 16 slabs, the
@@ -123,6 +164,38 @@ class TestBuildBoxmap:
         own = bm.jmin.nbytes + bm.jmax.nbytes + bm.exterior.nbytes
         slab = 2 * 1024 * grid.dimension * 8
         assert peak < own + 6 * slab
+
+    @pytest.mark.parametrize("theta", [(23.5, 23.5), (19.0, 27.0)])
+    def test_leslie_second_coordinate_once_per_layer(self, theta,
+                                                     monkeypatch):
+        """Leslie's 0.7*x1 has one value per first-axis layer: its bounds
+        in every slab have shape (layers, 1), so axis 1 is searched
+        twice per layer, and its first coordinate's bounds are
+        contiguous (layers, n1) arrays.  The ranges equal those of the
+        bounds made full-shape."""
+        monkeypatch.setattr(outer_approx, "_SLAB_BOXES", 3 * 64)
+        grid = CubicalGrid(PhaseSpace([0.0, 0.0], [90.0, 70.0]), [4, 6])
+        oracle = LeslieOracle(theta)
+        shapes = []
+        image_rects = oracle.image_rects
+
+        def record(g, layers):
+            lo, hi = image_rects(g, layers)
+            shapes.append([x.shape for x in (*lo, *hi)])
+            assert lo[0].flags.c_contiguous and hi[0].flags.c_contiguous
+            return lo, hi
+
+        monkeypatch.setattr(oracle, "image_rects", record)
+        bm = build_boxmap(grid, oracle, 0.03)
+        slabs = outer_approx._slabs(grid)
+        assert len(slabs) == 6
+        assert shapes == [[(b - a, 64), (b - a, 1)] * 2 for a, b in slabs]
+        lo, hi = stacked(image_rects(grid, (0, grid.shape[0])), grid.shape)
+        jmin, jmax, nonempty = grid.index_ranges_bulk(
+            list(lo.T), list(hi.T), pad=0.03)
+        assert np.array_equal(bm.jmin, jmin)
+        assert np.array_equal(bm.jmax, jmax)
+        assert np.array_equal(bm.exterior, ~nonempty)
 
     def test_infinite_enclosure_kept(self):
         """An infinite bound is sound: the box meets the grid up to its

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph_dynamics import MorseGraph
+from .grid import sorted_unique
 
 
 class NuMap:
@@ -64,7 +65,7 @@ def project(fine: MorseGraph, coarse: MorseGraph) -> NuMap:
     assignment = {}
     straddles = []
     for q in fine.nodes:
-        cboxes = np.unique(fine.grid.parents(fine.region_of(q), coarse.grid))
+        cboxes = sorted_unique(fine.grid.parents(fine.region_of(q), coarse.grid))
         candidates = [m for m in coarse.nodes if tiles[m][cboxes].all()]
         if len(candidates) == 1:
             assignment[q] = candidates[0]

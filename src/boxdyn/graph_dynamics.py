@@ -34,7 +34,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import BoxdynError, NodeNotRecurrent
-from .grid import CubicalGrid, PhaseSpace
+from .grid import CubicalGrid, PhaseSpace, sorted_unique
 from .outer_approx import BoxMap
 
 # the coarsest level of condensation's pyramid has at most this many boxes
@@ -80,7 +80,7 @@ class Condensation:
         return int(cid) in self._recurrent_set
 
     def component_ids(self) -> np.ndarray:
-        return np.unique(self.comp_of)
+        return sorted_unique(self.comp_of)
 
     @property
     def n_components(self) -> int:
@@ -219,22 +219,18 @@ def index_pair(cond: Condensation, cid: int) -> IndexPairC:
     """Index pair (downset, downset minus region) for a recurrent
     component of cond.boxmap.
 
-    Exterior boxes are dropped: they cannot belong to a forward-invariant
-    set realization (their image escaped the phase space).
+    Exterior boxes cannot be in a forward-invariant set and are dropped;
+    none is recurrent, so P0 is the boxes of P1 in other components.
     """
     ds = downset(cond, cid)
     ds = ds[~cond.boxmap.exterior[ds]]
-    region = cond.members(cid)
-    p0 = np.setdiff1d(ds, region, assume_unique=True)
-    return IndexPairC(ds, p0)
+    return IndexPairC(ds, ds[cond.comp_of[ds] != int(cid)])
 
 
 def verify_attracting_block(boxmap: BoxMap, boxes) -> bool:
     """True iff every box's targets stay inside the set (exterior vacuous)."""
-    boxes = np.unique(boxmap.grid.box_indices(boxes))
-    mask = np.zeros(boxmap.n_boxes, dtype=bool)
-    mask[boxes] = True
-    return bool(mask[boxmap.expand(boxes)[1]].all())
+    boxes = sorted_unique(boxmap.grid.box_indices(boxes))
+    return bool(np.isin(boxmap.expand(boxes)[1], boxes).all())
 
 
 class MorseGraph:
@@ -406,7 +402,7 @@ def morse_graph_from_jsonable(doc: dict) -> MorseGraph:
             raise BoxdynError(f"Morse graph record: order holds ({a}, {b}) and "
                               f"({b}, {c}) but not ({a}, {c})")
     regions = [grid.box_indices(nd["region"]) for nd in nodes]
-    boxes = np.sort(np.concatenate([np.unique(r) for r in regions]
+    boxes = np.sort(np.concatenate([sorted_unique(r) for r in regions]
                                    + [np.zeros(0, dtype=np.int64)]))
     shared = boxes[1:][boxes[1:] == boxes[:-1]]
     if shared.size:

@@ -19,6 +19,14 @@ from .errors import (BoxdynError, DimensionMismatch, GridMismatch,
                      PointOutsideDomain)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique(values) by a sort and a drop of repeats: faster on int64."""
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle, possibly degenerate (lower == upper)."""

@@ -15,13 +15,13 @@ mask m, o & m = 0, has the code of j's lowest vertex shifted left by d
 plus a constant per (o, m), so the closure is one broadcast add, one
 sort and one dedupe.  Coface slot k of a cell is the box at its anchor,
 found from the per-axis anchors, less bits(k) times the box strides;
-the cell stays in the quotient by an OR of one gather per slot.  The
-quotient faces and their signs are built once as arrays, and a cell's
-boundary is read from its row when it is needed.  A quotient cell is
-its position 0..n-1 in closure order, which is the reduction order:
-chains and cochains over the quotient are dicts position ->
-coefficient, and chains in the full complex, where the chain map is
-built, dicts code -> coefficient.
+the cell stays in the quotient by an OR of the box states gathered per
+slot, which chain_map reads too.  The quotient faces and their signs
+are built once as arrays, and a cell's boundary is read from its row
+when it is needed.  A quotient cell is its position 0..n-1 in closure
+order, which is the reduction order: chains and cochains over the
+quotient are dicts position -> coefficient, and chains in the full
+complex, where the chain map is built, dicts code -> coefficient.
 
 Homology comes from a column reduction R = D V that runs from the top
 dimension down with clearing (Chen and Kerber, Persistent homology
@@ -81,7 +81,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import BoxdynError, CarrierNotAcyclic
-from .grid import CubicalGrid
+from .grid import CubicalGrid, sorted_unique
 from .outer_approx import BoxMap
 
 
@@ -157,32 +157,32 @@ class PairComplex:
     -1 where a box is absent (off the grid, or not a coface because the
     cell extends along that axis), column k being the box anchor -
     bits(k); it is the transpose of a (2^d, n) array, so cofaces.T has
-    one contiguous row per slot.  faces[r, 2i] and faces[r, 2i + 1] are
-    the rows of the upper and lower face along axis i, -1 where the cell
-    does not extend along it, with signs in signs[r] (0 for no face);
-    position[r] is the row's quotient position or -1, and its extra last
-    slot answers for -1.  rows and dims give each quotient cell's closure
-    row and dimension.  By quotient position: qfaces[j] holds the
-    quotient positions of the faces, position[faces[rows[j]]], -1 for
-    none or outside the quotient, and qcof[j, s] is the quotient coface
-    whose face slot s holds the quotient cell j, -1 for none: the
-    transpose of qfaces.  qsigns[j] = signs[rows[j]] are the faces'
-    signs, and boundary(j) reads row j of qfaces and qsigns.
+    one contiguous row per slot, and slot_states[k, r] is the state of
+    box cofaces[r, k]: 1 in the region, 2 in P0, 0 outside P1 or for -1.
+    faces[r, 2i] and faces[r, 2i + 1] are the rows of the upper and
+    lower face along axis i, -1 where the cell does not extend along it,
+    with signs in signs[r] (0 for no face); position[r] is the row's
+    quotient position or -1, and its extra last slot answers for -1.
+    rows and dims give each quotient cell's closure row and dimension.
+    By quotient position: qfaces[j] holds the quotient positions of the
+    faces, position[faces[rows[j]]], -1 for none or outside the
+    quotient, and qcof[j, s] is the quotient coface whose face slot s
+    holds the quotient cell j, -1 for none: the transpose of qfaces.
+    qsigns[j] = signs[rows[j]]; boundary(j) reads row j of qfaces and qsigns.
     """
 
     def __init__(self, grid: CubicalGrid, p1, p0, prime: int = 5):
         self.grid = grid
         self.prime = check_prime(prime)
-        # state of each box: 0 outside P1, 1 in the region P1 \ P0, 2 in
-        # P0; the extra last slot stays 0 and answers for the index -1
+        # box states, read only at P1 and at the coface slots: 0 outside P1,
+        # 1 in the region P1 \ P0, 2 in P0, and 0 in the last slot, for -1
         state = np.zeros(grid.box_count + 1, dtype=np.int8)
-        state[grid.box_indices(p1)] = 1
-        p0 = grid.box_indices(p0)
+        p1, p0 = grid.box_indices(p1), grid.box_indices(p0)
+        state[p1] = 1
         if (state[p0] == 0).any():
             raise BoxdynError("P0 must be a subset of P1")
         state[p0] = 2
-        self._in_p1 = state > 0
-        region = np.flatnonzero(state == 1)
+        region = p1[state[p1] == 1]  # any order: the closure is sorted
 
         d = grid.dimension
         self._vshape = tuple(s + 1 for s in grid.shape)
@@ -194,16 +194,13 @@ class PairComplex:
 
         # the 3^d faces of box j: anchor j + bits(o), mask m, o & m == 0,
         # so a face's code is j's vertex code << d plus a constant per
-        # (o, m); sorted, a code equal to its predecessor is a repeat
+        # (o, m); sorted_unique drops the repeats
         o, m = np.nonzero((np.arange(1 << d)[:, None] & np.arange(1 << d)) == 0)
         offset = ((popcount[m] * nv + bits[o] @ self._vstrides) << d) + m
         vertex = np.zeros(region.size, dtype=np.int64)
         for j, vstride in zip(grid.axis_indices(region), self._vstrides):
             vertex += j * vstride
-        codes = np.sort(((vertex << d) + offset[:, None]).ravel())
-        new = np.ones(codes.size, dtype=bool)
-        np.not_equal(codes[1:], codes[:-1], out=new[1:])
-        self.closure = codes[new]
+        self.closure = sorted_unique((vertex << d) + offset[:, None])
 
         # coface k is the box at anchor - bits(k), present where the cell
         # does not extend along the bits of k and the box is on the grid.
@@ -220,13 +217,13 @@ class PairComplex:
             below.append((a > 0) & (((mask >> i) & 1) == 0))
             above.append(a < grid.shape[i])
         slots = np.empty((1 << d, n), dtype=np.int64)
-        seen = np.zeros(n, dtype=np.int8)  # OR of the coface states
+        self.slot_states = np.empty((1 << d, n), dtype=np.int8)
         for k in range(1 << d):
             present = below[0] if k & 1 else above[0]
             for i in range(1, d):
                 present = present & (below[i] if (k >> i) & 1 else above[i])
             slots[k] = np.where(present, base - int(bits[k] @ grid.strides), -1)
-            seen |= state[slots[k]]
+            self.slot_states[k] = state[slots[k]]
         self.cofaces = slots.T
 
         # along an extended axis i the lower face keeps the anchor and the
@@ -246,7 +243,7 @@ class PairComplex:
             self.signs[j, 2 * i + 1] = -sign
 
         # kept: a coface in the region (state 1) and none in P0 (state 2)
-        self.rows = np.flatnonzero(seen == 1)
+        self.rows = np.flatnonzero(np.bitwise_or.reduce(self.slot_states) == 1)
         self.position = np.full(n + 1, -1, dtype=np.int64)
         self.position[self.rows] = np.arange(self.rows.size)
         self.dims = popcount[mask[self.rows]]
@@ -616,13 +613,13 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     confirm choice-independence of the induced homology map).
     """
     slots = complex.cofaces.T  # one row of coface boxes per slot
-    in_p1 = complex._in_p1
+    used = complex.slot_states > 0  # the slots holding a P1 box
     exterior = boxmap.exterior
 
     # guard: a region box adjacent to an exterior box would let chains
     # escape the quotient through the shared face; refuse loudly.
     qbox = slots.take(complex.rows, axis=1)
-    if ((qbox >= 0) & ~in_p1[qbox] & exterior[qbox]).any():
+    if ((qbox >= 0) & ~used.take(complex.rows, axis=1) & exterior[qbox]).any():
         raise BoxdynError("index pair touches exterior boxes; enlarge the "
                           "domain or refine the grid")
 
@@ -630,7 +627,6 @@ def chain_map(boxmap: BoxMap, complex: PairComplex,
     # ranges, slot by slot.  first is the P1 coface in the lowest slot; a
     # slot without a P1 coface reads it instead, which leaves the max and
     # min unchanged, so slot 0, which is first or reads it, is skipped.
-    used = in_p1[slots]
     first = slots[0]
     for col, u in zip(slots[::-1], used[::-1]):
         first = np.where(u, col, first)

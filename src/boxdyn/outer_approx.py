@@ -37,8 +37,6 @@ _CHUNK_EDGES = 1 << 16
 # out-degree: Leslie maps stay below it (3 to 33 up to 2^24 boxes),
 # data-oracle maps are far above it (512 at 2^9, 4,002 at 2^12)
 _HUB_DEGREE = 64
-# BoxMap.graph remaps its indices in place, this many per step (no copy)
-_REMAP_CHUNK = 1 << 22
 # build_boxmap asks the oracle for slabs of about this many boxes, whole
 # layers along the first axis, so the temporaries of one call stay small
 _SLAB_BOXES = 1 << 16
@@ -86,9 +84,9 @@ class BoxMap:
         widths[0][exterior] = 0
         return base, widths, _indptr(widths), self_loops
 
-    def _fill(self, base, widths, indptr):
+    def _fill(self, base, widths, indptr, position=None):
         """Indices listing row k's rectangle of a layout, in ravel order,
-        so each row is sorted."""
+        so each row is sorted; given position, index i reads position[i]."""
         strides = self.grid.strides
         d = len(strides)
         runs = np.ones(base.size, dtype=np.int32)
@@ -122,6 +120,8 @@ class BoxMap:
             fill = indices[indptr[a]:indptr[b]]
             fill[:] = np.repeat(start, length)
             fill += np.arange(fill.size, dtype=np.int32)
+            if position is not None:
+                fill[:] = position[fill]
         return indices
 
     def expand(self, rows):
@@ -149,7 +149,7 @@ class BoxMap:
         Each row of the group then holds one edge, to the hub, and the
         hub's row lists the rectangle.  So a hub links boxes to boxes
         only, and a box reaches another box iff it does in the box map.
-        Below the gate the rows are those of expand(rows), remapped.
+        Below the gate the rows are those of expand(rows), in positions.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         n, m = self.n_boxes, rows.size
@@ -174,7 +174,7 @@ class BoxMap:
                 hub_base = base[rect]
                 hub_widths = [w[rect] for w in widths]
                 # a member's one target is its hub, written as the index
-                # n + h past the boxes, which the remap sends to m + h
+                # n + h past the boxes, which position sends to m + h
                 member = hub[group]
                 base[member] = n + (np.cumsum(hub) - 1)[group[member]]
                 for w in widths:
@@ -182,15 +182,13 @@ class BoxMap:
                 base = np.concatenate((base, hub_base))
                 widths = [np.concatenate(w) for w in zip(widths, hub_widths)]
                 indptr = _indptr(widths)
-        indices = self._fill(base, widths, indptr)
+        position = None  # on the whole grid every index is its position
         if m < n:
             position = np.empty(n + hubs, dtype=np.int32)
             position[rows] = np.arange(m, dtype=np.int32)
             position[n:] = np.arange(m, m + hubs, dtype=np.int32)
-            for a in range(0, indices.size, _REMAP_CHUNK):
-                chunk = indices[a:a + _REMAP_CHUNK]
-                chunk[:] = position[chunk]
-        return indptr, indices, box_edges, self_loops
+        return (indptr, self._fill(base, widths, indptr, position),
+                box_edges, self_loops)
 
     def targets(self, linear: int) -> np.ndarray:
         """Sorted linearized target indices of a box."""

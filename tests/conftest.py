@@ -449,10 +449,10 @@ def cell_coface_boxes(cell, shape):
     return out
 
 
-def carrier(boxmap, complex, cell):
+def carrier(boxmap, p1, cell):
     """Declared carrier: union of targets over P1 cofaces, within P1."""
     grid = boxmap.grid
-    p1 = set(np.flatnonzero(complex._in_p1).tolist())
+    p1 = {int(b) for b in p1}
     out = set()
     for j in cell_coface_boxes(cell, grid.shape):
         lin = grid.linearize(j)

@@ -382,6 +382,25 @@ class TestDownsetAndIndexPair:
             assert verify_attracting_block(bm, pair.p1)
             assert verify_attracting_block(bm, pair.p0)
 
+    def test_index_pair_on_random_rectangle_maps(self, rng):
+        """On the pyramid tests' random maps, about one box in seven
+        exterior: P1 is the downset without its exterior boxes and P0 is
+        P1 less the region, for every node."""
+        dropped = with_p0 = 0
+        for depths in ((6,), (3, 3), (2, 2, 2), (4, 2)):
+            for _ in range(15):
+                bm = random_rect_boxmap(rng, depths)
+                cond = condensation(bm)
+                for cid in cond.recurrent.tolist():
+                    ds = downset(cond, cid)
+                    pair = index_pair(cond, cid)
+                    assert pair.p1.tolist() == ds[~bm.exterior[ds]].tolist()
+                    assert pair.p0.tolist() == np.setdiff1d(
+                        pair.p1, cond.members(cid)).tolist()
+                    dropped += pair.p1.size < ds.size
+                    with_p0 += pair.p0.size > 0
+        assert dropped and with_p0
+
     def test_piecewise_top_node_p0_is_union_of_attracting_downsets(self):
         grid = CubicalGrid(PhaseSpace([-2.0], [2.0]), [10])
         bm = build_boxmap(grid, PiecewiseExample1D(1.5), 1e-3)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,8 +97,10 @@ class TestCells:
         the box at anchor - bits(k) where cell_coface_boxes has it, else
         -1; the quotient keeps a cell iff it has a coface in P1 \\ P0 and
         none in P0; qfaces holds the positions of its faces and qcof is
-        its transpose.  The pairs include region boxes on the grid's
-        boundary and P0 boxes next to the region."""
+        its transpose.  The kept slot states are 1 for a region box, 2 for
+        a P0 box and 0 for any other box or a -1 slot.  The pairs include
+        region boxes on the grid's boundary and P0 boxes next to the
+        region."""
         rng = np.random.default_rng(12)
         on_boundary = beside_p0 = 0
         for depths in ([3], [2, 2], [1, 2, 1]):
@@ -133,6 +136,8 @@ class TestCells:
                             0 <= v < s for v, s in zip(b, g.shape)) else -1)
                         want.append(box)
                     assert cx.cofaces[row].tolist() == want
+                    assert cx.slot_states[:, row].tolist() == [
+                        1 if b in region else 2 if b in p0 else 0 for b in want]
                     assert set(want) - {-1} == boxes
                     beside_p0 += bool(boxes & region) and bool(boxes & p0)
                     if boxes & region and not boxes & p0:
@@ -147,6 +152,24 @@ class TestCells:
                     qcof[qfaces[j, s], s] = j
                 assert np.array_equal(cx.qcof, qcof)
         assert on_boundary and beside_p0
+
+    def test_memory_per_grid_box(self):
+        """A complex reads its box states from one int8 array over the
+        grid and makes no other array per grid box: on a 2^20-box grid
+        the traced peak of a 1-box pair, and of a 3-box pair with a P0
+        box, stays below 1.5 bytes per box, which a second whole-grid
+        mask or scan beside the states would exceed."""
+        g = grid2d(10, 10)
+        for p1, p0 in (([g.linearize((3, 4))], []),
+                       ([g.linearize(j) for j in ((5, 5), (5, 6), (6, 6))],
+                        [g.linearize((6, 6))])):
+            tracemalloc.start()
+            try:
+                cx = PairComplex(g, p1, p0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(cx) and peak < 1.5 * g.box_count, (len(p1), peak)
 
 
 class TestElimination:
@@ -428,23 +451,21 @@ def identity_map(depth=3):
 class TestCarrier:
     def test_top_cell_carrier_is_target_list(self):
         bm, g = identity_map()
-        cx = PairComplex(g, range(g.box_count), set())
         cell = ((3,), 1)  # the box [3/8, 4/8]
-        got = carrier(bm, cx, cell)
+        got = carrier(bm, range(g.box_count), cell)
         assert got.tolist() == bm.targets(3).tolist()
 
     def test_vertex_carrier_unions_both_cofaces(self):
         bm, g = identity_map()
-        cx = PairComplex(g, range(g.box_count), set())
         cell = ((3,), 0)  # vertex shared by boxes 2 and 3
         want = sorted(set(bm.targets(2)) | set(bm.targets(3)))
-        assert carrier(bm, cx, cell).tolist() == want
+        assert carrier(bm, range(g.box_count), cell).tolist() == want
 
     def test_identity_carriers_contain_own_cell_boxes(self):
         bm, g = identity_map()
         cx = PairComplex(g, range(g.box_count), set())
         for cell in cells(cx):
-            car = set(carrier(bm, cx, cell).tolist())
+            car = set(carrier(bm, range(g.box_count), cell).tolist())
             for j in cell_coface_boxes(cell, g.shape):
                 assert g.linearize(j) in car
 
@@ -574,7 +595,7 @@ class TestChainMap:
         cm = chain_map(bm, cx)
         named = cells(cx)
         for pos, cell in enumerate(named):
-            allowed = set(carrier(bm, cx, cell).tolist())
+            allowed = set(carrier(bm, range(g.box_count), cell).tolist())
             # support boxes of the image cells must be carried boxes
             for c2 in cm[pos]:
                 covers = [g.linearize(j)

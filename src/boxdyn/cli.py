@@ -31,7 +31,8 @@ from .compare import project
 from .conley import conley_index
 from .errors import (BoxdynError, ConfigError, DimensionMismatch,
                      EmptyDataset, ParseError)
-from .graph_dynamics import MorseGraph, condensation, morse_graph
+from .graph_dynamics import (MorseGraph, _is_int, _is_number, condensation,
+                             morse_graph)
 from .grid import CubicalGrid, PhaseSpace
 from .homology import check_prime
 from .oracles import LeslieOracle, LipschitzDataOracle, MlpOracle, \
@@ -49,7 +50,7 @@ _UNREADABLE = (OSError, EOFError, KeyError, ValueError, NotImplementedError,
 def _number(value, what: str):
     """value if it is a JSON number; ConfigError for a bool, a text or
     any other type, which is never converted to fit."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{what} must be a number, got {value!r}")
     return value
 
@@ -68,8 +69,7 @@ class AnalysisConfig:
     def validate(self):
         if len(self.lower) != len(self.upper) or len(self.lower) != len(self.depths):
             raise ConfigError("domain bounds and depths must share one dimension")
-        if any(isinstance(d, bool) or not isinstance(d, int) or d < 0
-               for d in self.depths):
+        if any(not _is_int(d) or d < 0 for d in self.depths):
             raise ConfigError(f"depths must be nonnegative integers, got "
                               f"{self.depths}")
         for v in [*self.lower, *self.upper]:

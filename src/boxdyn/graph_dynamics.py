@@ -47,18 +47,19 @@ class Condensation:
     Component ids are the smallest linearized box index of each member
     set, which makes numbering deterministic across runs.  candidates
     is a sorted, forward-closed set of boxes that holds every box a
-    recurrent box reaches, and graph is the box map's CSR graph on them,
-    in positions of candidates, with its hub nodes after them.  levels
-    records, coarsest first, each level's grid shape, its candidate
-    boxes, the edges of the box graph on them (as BoxMap.graph counts
-    them from the ranges), the edges stored and the hub nodes.
+    recurrent box reaches, labels their component ids (any other box is
+    its own component), and graph the box map's CSR graph on them, in
+    positions of candidates, hub nodes after them.  levels records,
+    coarsest first, each level's grid shape, its candidate boxes, the
+    edges of the box graph on them (as BoxMap.graph counts them from
+    the ranges), the edges stored and the hub nodes.
     """
 
-    def __init__(self, boxmap: BoxMap, comp_of: np.ndarray,
+    def __init__(self, boxmap: BoxMap, labels: np.ndarray,
                  recurrent: np.ndarray, candidates: np.ndarray,
                  graph: csr_matrix, levels: list):
         self.boxmap = boxmap
-        self.comp_of = comp_of  # flat box index -> component id
+        self.labels = labels  # position in candidates -> component id
         self.recurrent = recurrent  # sorted array of recurrent component ids
         self.candidates = candidates
         self.graph = graph
@@ -67,24 +68,21 @@ class Condensation:
         self._downsets = {}  # recurrent component id -> downset (read-only)
 
     def component_of(self, box: int) -> int:
-        return int(self.comp_of[int(box)])
+        """Component id of a box; BoxdynError for an index off the grid."""
+        box = int(self.boxmap.grid.box_indices([box])[0])
+        at = np.searchsorted(self.candidates, box)
+        hit = at < self.candidates.size and self.candidates[at] == box
+        return int(self.labels[at]) if hit else box
 
     def members(self, cid: int) -> np.ndarray:
-        """Sorted boxes of component cid.  Every member of a recurrent
-        component is a candidate, so only the candidates are searched."""
-        if self.is_recurrent(cid):
-            return self.candidates[self.comp_of[self.candidates] == int(cid)]
-        return np.flatnonzero(self.comp_of == int(cid))
+        """Sorted boxes of component cid (cid alone if off the candidates)."""
+        boxes = self.candidates[self.labels == int(cid)]
+        if boxes.size or self.component_of(cid) != int(cid):
+            return boxes
+        return np.array([int(cid)], dtype=np.int64)
 
     def is_recurrent(self, cid: int) -> bool:
         return int(cid) in self._recurrent_set
-
-    def component_ids(self) -> np.ndarray:
-        return sorted_unique(self.comp_of)
-
-    @property
-    def n_components(self) -> int:
-        return self.component_ids().size
 
 
 def _coarsen(bm: BoxMap) -> BoxMap:
@@ -178,9 +176,7 @@ def condensation(boxmap: BoxMap) -> Condensation:
     label = label[:m]
     smallest = np.full(n_comp, boxmap.n_boxes, dtype=np.int64)
     np.minimum.at(smallest, label, candidates)
-    comp_of = np.arange(boxmap.n_boxes, dtype=np.int64)
-    comp_of[candidates] = smallest[label]
-    return Condensation(boxmap, comp_of, np.sort(smallest[recurrent]),
+    return Condensation(boxmap, smallest[label], np.sort(smallest[recurrent]),
                         candidates, graph, records)
 
 
@@ -220,11 +216,13 @@ def index_pair(cond: Condensation, cid: int) -> IndexPairC:
     component of cond.boxmap.
 
     Exterior boxes cannot be in a forward-invariant set and are dropped;
-    none is recurrent, so P0 is the boxes of P1 in other components.
+    none is recurrent, so every region box is in P1, and P0 is P1 with
+    the region removed.
     """
     ds = downset(cond, cid)
-    ds = ds[~cond.boxmap.exterior[ds]]
-    return IndexPairC(ds, ds[cond.comp_of[ds] != int(cid)])
+    p1 = ds[~cond.boxmap.exterior[ds]]
+    p0 = np.delete(p1, np.searchsorted(p1, cond.members(cid)))
+    return IndexPairC(p1, p0)
 
 
 def verify_attracting_block(boxmap: BoxMap, boxes) -> bool:
@@ -326,7 +324,6 @@ class MorseGraph:
 def morse_graph(cond: Condensation) -> MorseGraph:
     """Morse graph of a condensation: recurrent components ordered by
     reachability (possibly through non-recurrent components)."""
-    boxmap = cond.boxmap
     comp_ids = [int(c) for c in cond.recurrent]
     regions = [cond.members(c) for c in comp_ids]
     downsets = [downset(cond, c) for c in comp_ids]
@@ -338,7 +335,7 @@ def morse_graph(cond: Condensation) -> MorseGraph:
         for qj in np.flatnonzero(ds[at] == ids):
             if qj != qi:
                 order.add((int(qj), qi))  # qj < qi: qi reaches qj
-    return MorseGraph(boxmap.grid, comp_ids, regions, downsets, order)
+    return MorseGraph(cond.boxmap.grid, comp_ids, regions, downsets, order)
 
 
 def _is_int(v) -> bool:

@@ -74,8 +74,8 @@ class BoxMap:
         own = self.grid.axis_indices(rows)
         widths = []
         for axis, stride in enumerate(self.grid.strides):
-            lo = np.take(self.jmin[:, axis], rows).astype(np.int32)
-            hi = np.take(self.jmax[:, axis], rows).astype(np.int32)
+            lo = np.take(self.jmin[:, axis], rows).astype(np.int32, copy=False)
+            hi = np.take(self.jmax[:, axis], rows).astype(np.int32, copy=False)
             self_loops &= (lo <= own[axis]) & (own[axis] <= hi)
             base += lo * stride
             hi -= lo
@@ -86,10 +86,11 @@ class BoxMap:
 
     def _fill(self, base, widths, indptr, position=None):
         """Indices listing row k's rectangle of a layout, in ravel order,
-        so each row is sorted; given position, index i reads position[i]."""
+        so each row is sorted; given position, index i reads position[i]
+        (once per run: sorted, forward-closed rows hold a run in order)."""
         strides = self.grid.strides
-        d = len(strides)
-        runs = np.ones(base.size, dtype=np.int32)
+        # a row with a zero width (an exterior row) has no runs
+        runs = (widths[-1] > 0).astype(np.int32)
         for w in widths[:-1]:
             runs *= w
         indices = np.empty(int(indptr[-1]), dtype=np.int32)
@@ -100,28 +101,29 @@ class BoxMap:
             if a == b:
                 continue
             # a target rectangle is a set of runs of consecutive indices
-            # along the last axis; find each run's start, then fill it
+            # along the last axis; find each run's start and its first
+            # slot in the chunk, then fill it
             run_box = np.repeat(np.arange(b - a), runs[a:b])
             start = base[a:b][run_box]
-            if d > 1:
-                # position of each run in its rectangle, last axis fastest
-                local = np.arange(run_box.size, dtype=np.int32)
-                local -= (np.cumsum(runs[a:b]) - runs[a:b])[run_box]
-                for axis in range(d - 2, 0, -1):
-                    w = widths[axis][a:b][run_box]
-                    start += (local % w) * strides[axis]
-                    local //= w
-                local *= strides[0]
-                start += local
-            # less each run's first position in the chunk, the run's
-            # indices are its positions plus this one value
             length = widths[-1][a:b][run_box]
-            start -= np.cumsum(length, dtype=np.int32) - length
+            # position of each run in its rectangle, last axis fastest
+            local = np.arange(run_box.size, dtype=np.int32)
+            local -= (np.cumsum(runs[a:b]) - runs[a:b])[run_box]
+            slot = (indptr[a:b] - indptr[a]).astype(np.int32)[run_box]
+            slot += local * length
+            for axis in range(len(strides) - 2, 0, -1):
+                w = widths[axis][a:b][run_box]
+                start += (local % w) * strides[axis]
+                local //= w
+            start += local * strides[0]
+            if position is not None:
+                start = position[start]
+            # less each run's first slot in the chunk, the run's indices
+            # are their slots plus this one value
+            start -= slot
             fill = indices[indptr[a]:indptr[b]]
             fill[:] = np.repeat(start, length)
             fill += np.arange(fill.size, dtype=np.int32)
-            if position is not None:
-                fill[:] = position[fill]
         return indices
 
     def expand(self, rows):
@@ -129,9 +131,9 @@ class BoxMap:
 
         Row k lists the targets of box rows[k].  Indices are int32 and
         sorted within each row, because each range is enumerated in
-        ravel order; exterior boxes have empty rows.
-        """
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        ravel order; exterior boxes have empty rows.  BoxdynError for a
+        row off the grid."""
+        rows = self.grid.box_indices(rows)
         base, widths, indptr, _ = self._layout(rows)
         return indptr, self._fill(base, widths, indptr)
 
@@ -141,17 +143,16 @@ class BoxMap:
         nodes are numbered after the rows, the number of edges of the
         box graph on rows, and a mask of the rows that target themselves.
 
-        rows must be sorted and forward closed: every target of a row is
-        a row.  When the rows' mean out-degree is at least _HUB_DEGREE,
-        rows with the same target rectangle form a group, and a group of
-        c rows whose rectangle holds s boxes gets a hub iff
+        rows must be a sorted, forward-closed array: every target of a
+        row is a row.  When the rows' mean out-degree is at least
+        _HUB_DEGREE, rows with the same target rectangle form a group, and
+        a group of c rows whose rectangle holds s boxes gets a hub iff
         (c - 1)(s - 1) > 2, that is iff the hub saves nodes plus edges.
         Each row of the group then holds one edge, to the hub, and the
         hub's row lists the rectangle.  So a hub links boxes to boxes
         only, and a box reaches another box iff it does in the box map.
         Below the gate the rows are those of expand(rows), in positions.
         """
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         n, m = self.n_boxes, rows.size
         base, widths, indptr, self_loops = self._layout(rows)
         box_edges = int(indptr[-1])
@@ -191,8 +192,9 @@ class BoxMap:
                 box_edges, self_loops)
 
     def targets(self, linear: int) -> np.ndarray:
-        """Sorted linearized target indices of a box."""
-        return self.expand([int(linear)])[1].astype(np.int64)
+        """Sorted linearized target indices of a box; BoxdynError for a
+        box off the grid."""
+        return self.expand([linear])[1].astype(np.int64)
 
 
 def _indptr(widths):

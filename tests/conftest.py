@@ -69,12 +69,19 @@ def criterion6_pairs():
     return np.array(xs), np.array(ys)
 
 
+def grid_components(cond):
+    """The component id of every box of the grid, by component_of."""
+    return np.array([cond.component_of(b)
+                     for b in range(cond.boxmap.n_boxes)], dtype=np.int64)
+
+
 def dag_edges(cond):
     """Deduplicated edges between distinct components of a condensation."""
     bm = cond.boxmap
     indptr, indices = bm.expand(np.arange(bm.n_boxes))
     rows = np.repeat(np.arange(bm.n_boxes), np.diff(indptr))
-    cs, ct = cond.comp_of[rows], cond.comp_of[indices]
+    comp = grid_components(cond)
+    cs, ct = comp[rows], comp[indices]
     keep = cs != ct
     return set(zip(cs[keep].tolist(), ct[keep].tolist()))
 
